@@ -49,6 +49,8 @@ from .pulse import (
     cyclic_axes,
     lab_frame_hamiltonian,
     phase_shift,
+    phase_walk,
+    pi_pulse_signs,
     rotating_frame_residual,
     rotation_pulse,
     simulate_amplitudes,

@@ -76,17 +76,28 @@ def load_config(path) -> dict:
     return doc
 
 
-def _require(params: dict, key: str, kind, location: str):
-    if key not in params:
+def _require(params, key, kind, location: str):
+    """``params[key]`` checked to be of type ``kind``; floats must be finite.
+
+    ``params`` is a JSON object with string keys, or a list with indices.
+    """
+    if isinstance(params, dict) and key not in params:
         raise ConfigError(f"missing required key '{key}'", location)
     value = params[key]
+    where = f"{location}[{key}]" if isinstance(key, int) else f"{location}.{key}"
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"'{key}' must be a finite number", where)
+        return number
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
     if kind is bool and isinstance(value, bool):
         return value
-    raise ConfigError(f"'{key}' must be of type {kind.__name__}", f"{location}.{key}")
+    raise ConfigError(f"'{key}' must be of type {kind.__name__}", where)
 
 
 def _optional(params: dict, key: str, kind, default, location: str):
@@ -95,11 +106,14 @@ def _optional(params: dict, key: str, kind, default, location: str):
     return _require(params, key, kind, location)
 
 
+def _positive(value: float, key: str, location: str) -> float:
+    if value <= 0:
+        raise ConfigError(f"{key} must be positive", f"{location}.{key}")
+    return value
+
+
 def _coupling(params: dict, location: str) -> float:
-    j_hz = _require(params, "j_hz", float, location)
-    if j_hz <= 0:
-        raise ConfigError("j_hz must be positive", f"{location}.j_hz")
-    return TWO_PI * j_hz
+    return TWO_PI * _positive(_require(params, "j_hz", float, location), "j_hz", location)
 
 
 def _build_transmission(params: dict, seed: int) -> experiments.TransmissionConfig:
@@ -122,19 +136,17 @@ def _build_transmission(params: dict, seed: int) -> experiments.TransmissionConf
         raise ConfigError(str(exc), loc)
 
 
+def _floats(raw: list, location: str) -> list[float]:
+    return [_require(raw, i, float, location) for i in range(len(raw))]
+
+
 def _spread_list(params: dict, location: str) -> list[float]:
-    if "interval_spread" not in params:
-        raise ConfigError("missing required key 'interval_spread'", location)
-    raw = params["interval_spread"]
-    values = raw if isinstance(raw, list) else [raw]
-    out = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError("interval_spread entries must be numbers", f"{location}.interval_spread")
-        out.append(float(v))
-    if not out:
+    raw = params.get("interval_spread")
+    if not isinstance(raw, list):
+        return [_require(params, "interval_spread", float, location)]
+    if not raw:
         raise ConfigError("interval_spread list is empty", f"{location}.interval_spread")
-    return out
+    return _floats(raw, f"{location}.interval_spread")
 
 
 def _observation_times(params: dict, mean_interval: float, location: str) -> tuple[float, ...]:
@@ -142,23 +154,21 @@ def _observation_times(params: dict, mean_interval: float, location: str) -> tup
     if raw is None:
         raise ConfigError("missing required key 'observation_times'", location)
     cycle = 2.0 * mean_interval
+    where = f"{location}.observation_times"
     if isinstance(raw, dict):
-        if "max_time" not in raw:
-            raise ConfigError("observation_times object needs 'max_time'", f"{location}.observation_times")
-        max_time = float(raw["max_time"])
+        max_time = _require(raw, "max_time", float, where)
         n = int(max_time / cycle + 1e-9)
         if n < 1:
-            raise ConfigError("max_time shorter than one toggle cycle", f"{location}.observation_times")
+            raise ConfigError("max_time shorter than one toggle cycle", where)
         return tuple(cycle * k for k in range(1, n + 1))
     if isinstance(raw, list) and raw:
-        return tuple(float(t) for t in raw)
-    raise ConfigError("observation_times must be a non-empty list or {'max_time': t}",
-                      f"{location}.observation_times")
+        return tuple(_floats(raw, where))
+    raise ConfigError("observation_times must be a non-empty list or {'max_time': t}", where)
 
 
 def _build_memory(params: dict, seed: int, spread: float) -> experiments.MemoryConfig:
     loc = "params"
-    mean_interval = _require(params, "mean_interval", float, loc)
+    mean_interval = _positive(_require(params, "mean_interval", float, loc), "mean_interval", loc)
     try:
         return experiments.MemoryConfig(
             j=_coupling(params, loc),
@@ -329,9 +339,13 @@ def _run_memory(params: dict, seed: int, out: Path) -> None:
 
 def _run_channel_demo(params: dict, out: Path) -> None:
     raw = params.get("flip_probabilities", [0.0, 0.25, 0.5, 0.75, 1.0])
+    where = "params.flip_probabilities"
     if not isinstance(raw, list) or not raw:
-        raise ConfigError("flip_probabilities must be a non-empty list", "params.flip_probabilities")
-    probs = [float(p) for p in raw]
+        raise ConfigError("flip_probabilities must be a non-empty list", where)
+    probs = _floats(raw, where)
+    for i, p in enumerate(probs):
+        if not 0.0 <= p <= 1.0:
+            raise ConfigError(f"flip probability {p:g} outside [0, 1]", f"{where}[{i}]")
     lines = ["dephasing channel constructions, map deviation from the operator form", ""]
     lines.append("  p       pure-env dilation   mixed-env dilation   unitary mixture")
     for p in probs:
@@ -355,12 +369,13 @@ def _run_channel_demo(params: dict, out: Path) -> None:
 
 
 def _run_verify(params: dict, out: Path) -> int:
-    omega_2 = TWO_PI * float(params.get("omega_2_hz", 500.0))
+    loc = "params"
+    omega_2 = TWO_PI * _positive(_optional(params, "omega_2_hz", float, 500.0, loc), "omega_2_hz", loc)
     omega_1 = omega_2 / 4.0
-    j = TWO_PI * float(params.get("j_hz", 215.5))
+    j = TWO_PI * _positive(_optional(params, "j_hz", float, 215.5, loc), "j_hz", loc)
     lab = pulse.LabFrameParams(omega_1, omega_2, j)
     h_norm = float(np.linalg.norm(pulse.lab_frame_hamiltonian(lab)))
-    t = float(params.get("t", 1e-3))
+    t = _optional(params, "t", float, 1e-3, loc)
 
     lines = ["rotating-frame check: residual of R H R† + i (dR/dt) R† minus the pure coupling", ""]
     residuals = []

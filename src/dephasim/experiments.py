@@ -29,14 +29,20 @@ from .pulse import (
     PulseEvent,
     PulseSchedule,
     cyclic_axes,
-    simulate_amplitudes,
+    phase_walk,
+    pi_pulse_signs,
+    simulate_amplitudes,  # noqa: F401  the oracle; bench/bench.py traces calls through this name
 )
 
 # Points at or below this magnitude are ignored by the exponential fit;
 # they are dominated by Monte Carlo noise.
 FIT_FLOOR = 0.02
-# Consecutive rejected interval draws before the run is abandoned.
+# Consecutive non-positive interval draws before the run is abandoned.
 MAX_INTERVAL_REJECTIONS = 100
+# Standard normals drawn at a time for the intervals of one memory trial.
+_DRAW_BLOCK = 32
+# Trials per call of the phase-walk kernel; bounds its temporary arrays.
+_CHUNK_TRIALS = 32
 
 PI = math.pi
 
@@ -379,6 +385,16 @@ def transmission_schedule(config: TransmissionConfig, delta: float, train_offset
     return PulseSchedule(CouplingSystem(config.j), tuple(events), config.total_time)
 
 
+def _memory_train(spacing: float, horizon: float) -> np.ndarray:
+    """Pulse times ``spacing, 2 * spacing, ...`` of the memory train, up to ``horizon``.
+
+    A pulse that rounding puts past the horizon (``1200 * 5e-5`` is
+    ``0.060000000000000005``) is placed on it.
+    """
+    n = int(horizon / spacing + 1e-9)
+    return np.minimum(np.arange(1, n + 1) * spacing, horizon)
+
+
 def memory_trial_schedule(config: MemoryConfig, intervals: np.ndarray) -> tuple[PulseSchedule, np.ndarray]:
     """Schedule and snapshot times for one memory trial.
 
@@ -395,9 +411,9 @@ def memory_trial_schedule(config: MemoryConfig, intervals: np.ndarray) -> tuple[
         kept = flip_times[flip_times <= horizon]
         for t, axis in zip(kept, cyclic_axes(len(kept))):
             events.append(PulseEvent(float(t), 2, axis, PI))
-        n_train = int(horizon / spacing + 1e-9)
-        for k, axis in enumerate(cyclic_axes(n_train)):
-            events.append(PulseEvent((k + 1) * spacing, 1, axis, PI))
+        train = _memory_train(spacing, horizon)
+        for t, axis in zip(train, cyclic_axes(len(train))):
+            events.append(PulseEvent(float(t), 1, axis, PI))
         snapshots = np.asarray(config.observation_times, dtype=float)
         total = horizon
     else:
@@ -414,29 +430,39 @@ def memory_trial_schedule(config: MemoryConfig, intervals: np.ndarray) -> tuple[
 # ---------------------------------------------------------------------------
 
 def _group_averages(amps: np.ndarray, group_size: int) -> np.ndarray:
-    groups = [
-        amps[i : i + group_size].mean()
-        for i in range(0, len(amps), group_size)
-    ]
-    return np.asarray(groups, dtype=complex)
+    starts = np.arange(0, len(amps), group_size)
+    return np.add.reduceat(amps, starts) / np.diff(starts, append=len(amps))
+
+
+def _trial_chunks(trials: int):
+    for first in range(0, trials, _CHUNK_TRIALS):
+        yield range(first, min(first + _CHUNK_TRIALS, trials))
 
 
 def run_transmission(config: TransmissionConfig) -> EnsembleResult:
     """Monte Carlo ensemble of single noise-window trials."""
-    amps = np.empty(config.trials, dtype=complex)
     period = 2 * PI / config.j
-    trivial = np.exp(-0.5j * config.j * config.total_time)
-    for k in range(config.trials):
-        rng = np.random.default_rng((config.seed, k))
-        delta = rng.uniform(0.0, period)
-        offset = 0.0
-        if config.bang_bang and config.random_train_phase:
-            offset = rng.uniform(0.0, config.pulse_spacing)
-        schedule = transmission_schedule(config, delta, offset)
-        amp = simulate_amplitudes(schedule, [config.total_time])[0]
-        if config.remove_trivial_phase:
-            amp *= trivial
-        amps[k] = amp
+    steps = signs = np.empty(0)
+    if config.bang_bang:
+        n_pulses = config.pulse_count()
+        steps = np.arange(n_pulses) * config.pulse_spacing
+        signs = pi_pulse_signs(cyclic_axes(n_pulses))
+    random_phase = config.bang_bang and config.random_train_phase
+    amps = np.empty(config.trials, dtype=complex)
+    for chunk in _trial_chunks(config.trials):
+        draws = np.zeros((len(chunk), 2))   # window length, train offset
+        for row, k in zip(draws, chunk):
+            rng = np.random.default_rng((config.seed, k))
+            row[0] = rng.uniform(0.0, period)
+            if random_phase:
+                row[1] = rng.uniform(0.0, config.pulse_spacing)
+        toggles = np.stack((np.full(len(chunk), config.noise_start),
+                            config.noise_start + draws[:, 0]), axis=1)
+        pulses = (config.noise_start + draws[:, 1])[:, None] + steps
+        snapshots = np.full((len(chunk), 1), config.total_time)
+        amps[chunk.start:chunk.stop] = phase_walk(config.j, toggles, pulses, signs, snapshots)[:, 0]
+    if config.remove_trivial_phase:
+        amps *= np.exp(-0.5j * config.j * config.total_time)
     return EnsembleResult(
         amplitudes=amps,
         group_averages=_group_averages(amps, config.group_size),
@@ -445,48 +471,78 @@ def run_transmission(config: TransmissionConfig) -> EnsembleResult:
     )
 
 
-def _draw_interval(rng, mean: float, spread: float) -> float:
-    rejected = 0
+def _draw_intervals(rng, mean: float, spread: float, count: int | None = None,
+                    horizon: float = math.inf) -> np.ndarray:
+    """Toggle intervals ``mean * (1 + spread * xi)`` for standard normal ``xi``.
+
+    Keeps the positive values of the stream in order: ``count`` of them, or
+    without a count as many as it takes for their running sum to pass
+    ``horizon``.  Normals come in whole blocks of ``_DRAW_BLOCK``, enough
+    for ``count`` at first, then one block at a time.  A non-positive value
+    costs exactly the one normal it came from, so these are the intervals
+    that drawing and resampling one value at a time gives.  A run of
+    ``MAX_INTERVAL_REJECTIONS`` non-positive values before the last
+    interval needed abandons the run.
+    """
+    values = np.empty(0)
+    size = _DRAW_BLOCK * max(1, -(-(count or 0) // _DRAW_BLOCK))
     while True:
-        value = mean * (1.0 + spread * rng.standard_normal())
-        if value > 0.0:
-            return value
-        rejected += 1
-        if rejected >= MAX_INTERVAL_REJECTIONS:
-            raise SimulationError(
-                f"{MAX_INTERVAL_REJECTIONS} consecutive non-positive intervals; "
-                "interval distribution is unusable"
-            )
-
-
-def _memory_intervals(rng, config: MemoryConfig) -> np.ndarray:
-    if config.bang_bang:
-        horizon = max(config.observation_times)
-        out = []
-        total = 0.0
-        while total <= horizon:
-            iv = _draw_interval(rng, config.mean_interval, config.interval_spread)
-            out.append(iv)
-            total += iv
-        return np.asarray(out)
-    n_flips = 2 * max(config.cycle_counts())
-    return np.asarray([
-        _draw_interval(rng, config.mean_interval, config.interval_spread)
-        for _ in range(n_flips)
-    ])
+        values = np.concatenate((values, mean * (1.0 + spread * rng.standard_normal(size))))
+        positive = values > 0.0
+        intervals = values[positive]
+        if count is None:
+            # running sums in drawing order, as when adding one interval at a time
+            need = int(intervals.cumsum().searchsorted(horizon, side="right")) + 1
+        else:
+            need = count
+        enough = need <= len(intervals)
+        if len(intervals) < len(values):
+            # positions of the positive values needed; while short, the end
+            marks = np.flatnonzero(positive)[:need]
+            if not enough:
+                marks = np.append(marks, len(values))
+            if np.diff(marks, prepend=-1).max() > MAX_INTERVAL_REJECTIONS:
+                raise SimulationError(
+                    f"{MAX_INTERVAL_REJECTIONS} consecutive non-positive intervals; "
+                    "interval distribution is unusable"
+                )
+        if enough:
+            return intervals[:need]
+        size = _DRAW_BLOCK
 
 
 def run_memory(config: MemoryConfig) -> DecayCurve:
     """Ensemble decay curve of the repeated-toggling experiment."""
-    n_times = len(config.observation_times)
-    acc = np.zeros(n_times, dtype=complex)
-    for k in range(config.trials):
-        rng = np.random.default_rng((config.seed, k))
-        intervals = _memory_intervals(rng, config)
-        schedule, snapshots = memory_trial_schedule(config, intervals)
-        acc += simulate_amplitudes(schedule, snapshots)
-    magnitudes = np.abs(acc / config.trials)
     times = np.asarray(config.observation_times, dtype=float)
+    horizon = times[-1]
+    train = signs = np.empty(0)
+    count = None
+    if config.bang_bang:
+        train = _memory_train(config.pulse_spacing, horizon)
+        signs = pi_pulse_signs(cyclic_axes(len(train)))
+    else:
+        count = 2 * max(config.cycle_counts())
+        snapshot_flips = np.array(config.cycle_counts()) * 2 - 1
+    acc = np.zeros(len(times), dtype=complex)
+    for chunk in _trial_chunks(config.trials):
+        intervals = [
+            _draw_intervals(np.random.default_rng((config.seed, k)), config.mean_interval,
+                            config.interval_spread, count, horizon)
+            for k in chunk
+        ]
+        # zero intervals pad short rows with repeats of their last flip, which
+        # with the pulse train lies past the horizon
+        toggles = np.zeros((len(chunk), max(map(len, intervals))))
+        for row, iv in zip(toggles, intervals):
+            row[:len(iv)] = iv
+        toggles.cumsum(axis=1, out=toggles)
+        if count is None:
+            snapshots = np.broadcast_to(times, (len(chunk), len(times)))
+        else:
+            snapshots = toggles[:, snapshot_flips]
+        pulses = np.broadcast_to(train, (len(chunk), len(train)))
+        acc += phase_walk(config.j, toggles, pulses, signs, snapshots).sum(axis=0)
+    magnitudes = np.abs(acc / config.trials)
     fit = fit_exponential(times, magnitudes)
     return DecayCurve(times=times, magnitudes=magnitudes, fit=fit)
 

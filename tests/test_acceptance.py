@@ -100,7 +100,7 @@ def test_criterion_2_free_transmission_dephases_completely():
     print(f"\nfree transmission, N = 1e5: |grand average| = {magnitude:.5f} "
           f"(target < 0.02), {elapsed:.1f} s")
     assert magnitude < 0.02
-    assert elapsed < 30.0
+    assert elapsed < 10.0
 
 
 def test_criterion_3_pulse_train_retention_matches_both_sinc_laws():
@@ -120,7 +120,7 @@ def test_criterion_3_pulse_train_retention_matches_both_sinc_laws():
           f"(sinc^2 = {bang_bang_retention(J_REF, 0.3e-3):.5f}), {elapsed:.1f} s")
     assert abs(mag_fixed - 0.99312) < 0.005
     assert abs(mag_random - 0.98629) < 0.005
-    assert elapsed < 60.0
+    assert elapsed < 2.5
 
 
 def test_criterion_4_edge_offset_phase_formula_matches_full_simulation():
@@ -172,7 +172,7 @@ def test_criterion_5_memory_decay_follows_the_interval_noise_law():
     print(f"  spread 0.25 magnitude at 100 ms: {final_025:.4f} "
           f"(target 0.057 +/- 0.006), {elapsed:.1f} s")
     assert abs(final_025 - 0.057) < 0.006
-    assert elapsed < 300.0
+    assert elapsed < 6.0
 
 
 def test_criterion_6_pulse_train_slows_memory_decay_to_the_sinc_law():
@@ -192,7 +192,7 @@ def test_criterion_6_pulse_train_slows_memory_decay_to_the_sinc_law():
     print(f"\npulse-train memory: magnitude at 60 ms = {final:.4f} "
           f"(target 0.562 +/- 0.02, closed form {predicted:.4f}), {elapsed:.1f} s")
     assert abs(final - 0.562) < 0.02
-    assert elapsed < 120.0
+    assert elapsed < 2.0
 
 
 def test_criterion_7_rotating_frame_residual_shrinks_quadratically():

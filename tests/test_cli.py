@@ -242,6 +242,60 @@ def test_memory_config_errors(tmp_path, capsys):
     assert "interval_spread" in capsys.readouterr().err
 
 
+def _config_error(tmp_path, capsys, doc, *where):
+    """Run ``doc``; it must exit 1 with a config error naming ``where``."""
+    assert main([write_json(tmp_path / "c.json", doc), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert "Traceback" not in err
+    for token in where:
+        assert token in err
+
+
+def test_infinite_total_time_is_a_config_error(tmp_path, capsys):
+    doc = transmission_doc()
+    doc["params"]["total_time"] = math.inf   # json writes Infinity
+    _config_error(tmp_path, capsys, doc, "finite", "(at params.total_time)")
+    assert not (tmp_path / "out" / "amplitudes.csv").exists()
+
+
+def test_null_max_time_is_a_config_error(tmp_path, capsys):
+    doc = memory_doc()
+    doc["params"]["observation_times"] = {"max_time": None}
+    _config_error(tmp_path, capsys, doc, "(at params.observation_times.max_time)")
+
+
+def test_infinite_max_time_is_a_config_error(tmp_path, capsys):
+    doc = memory_doc()
+    doc["params"]["observation_times"] = {"max_time": math.inf}
+    _config_error(tmp_path, capsys, doc, "finite", "(at params.observation_times.max_time)")
+
+
+def test_observation_time_entries_are_checked(tmp_path, capsys):
+    doc = memory_doc()
+    doc["params"]["observation_times"] = [4e-3, math.nan]
+    _config_error(tmp_path, capsys, doc, "finite", "(at params.observation_times[1])")
+    doc["params"]["observation_times"] = [4e-3, "8 ms"]
+    _config_error(tmp_path, capsys, doc, "(at params.observation_times[1])")
+
+
+def test_zero_mean_interval_is_a_config_error(tmp_path, capsys):
+    doc = memory_doc()
+    doc["params"]["mean_interval"] = 0
+    _config_error(tmp_path, capsys, doc, "(at params.mean_interval)")
+
+
+@pytest.mark.parametrize("spacing", [1e-5, 2e-5, 5e-5, 1e-4, 2e-4])
+def test_pulsed_memory_train_ending_on_the_horizon_runs(tmp_path, spacing):
+    """k * spacing rounds past max_time = 60 ms for these spacings."""
+    doc = memory_doc()
+    doc["params"].update(interval_spread=0.25, observation_times={"max_time": 60e-3},
+                         trials=4, bang_bang=True, pulse_spacing=spacing)
+    out = tmp_path / "results"
+    assert main([write_json(tmp_path / "c.json", doc), "--out", str(out)]) == 0
+    assert len((out / "decay_a025.csv").read_text().splitlines()) == 16
+
+
 # ---------------------------------------------------------------------------
 # channel demo and verify
 # ---------------------------------------------------------------------------
@@ -257,6 +311,21 @@ def test_channel_demo_report(tmp_path):
     for token in report.split():
         if "e-" in token and token.replace(".", "").replace("e-", "").isdigit():
             assert float(token) < 1e-10
+
+
+def test_channel_demo_probability_out_of_range_is_a_config_error(tmp_path, capsys):
+    doc = {"experiment": "channel-demo", "params": {"flip_probabilities": [0.5, 2.0]}}
+    _config_error(tmp_path, capsys, doc, "(at params.flip_probabilities[1])")
+    doc["params"]["flip_probabilities"] = [0.5, "half"]
+    _config_error(tmp_path, capsys, doc, "(at params.flip_probabilities[1])")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("omega_2_hz", "fast"), ("omega_2_hz", 0), ("j_hz", -215.5), ("j_hz", math.inf), ("t", [1e-3]),
+])
+def test_verify_parameter_errors_are_config_errors(tmp_path, capsys, key, value):
+    doc = {"experiment": "verify", "params": {key: value}}
+    _config_error(tmp_path, capsys, doc, f"(at params.{key})")
 
 
 def test_verify_report_passes(tmp_path):

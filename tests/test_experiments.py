@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,11 +20,12 @@ from dephasim import (
     partial_trace_env,
     run_memory,
     run_transmission,
+    simulate_amplitudes,
     simulate_schedule,
     transmission_schedule,
     transverse_amplitude,
 )
-from dephasim.experiments import MAX_INTERVAL_REJECTIONS, _draw_interval
+from dephasim.experiments import MAX_INTERVAL_REJECTIONS, _draw_intervals
 
 from helpers import J_REF, rho_00, window_schedule
 
@@ -330,26 +332,135 @@ def test_run_memory_deterministic():
 
 
 class _AlwaysNegative:
-    def standard_normal(self):
-        return -1e9
+    def standard_normal(self, size):
+        return np.full(size, -1e9)
 
 
 class _NegativeThenFine:
     def __init__(self):
         self.calls = 0
 
-    def standard_normal(self):
+    def standard_normal(self, size):
         self.calls += 1
-        return -1e9 if self.calls <= 2 else 0.0
+        return np.full(size, -1e9 if self.calls <= 2 else 0.0)
 
 
 def test_interval_rejection_resamples_then_gives_up():
     rng = _NegativeThenFine()
-    value = _draw_interval(rng, 2e-3, 0.25)
+    value = _draw_intervals(rng, 2e-3, 0.25, 1)
     assert value == pytest.approx(2e-3)
     assert rng.calls == 3
     with pytest.raises(SimulationError, match=str(MAX_INTERVAL_REJECTIONS)):
-        _draw_interval(_AlwaysNegative(), 2e-3, 0.25)
+        _draw_intervals(_AlwaysNegative(), 2e-3, 0.25, 1)
+
+
+class _Sequence:
+    """Stub stream: the given normals in order, then zeros."""
+
+    def __init__(self, normals):
+        self.normals = list(normals)
+
+    def standard_normal(self, size):
+        head, self.normals = self.normals[:size], self.normals[size:]
+        return np.array(head + [0.0] * (size - len(head)))
+
+
+def test_interval_rejection_limit_counts_consecutive_draws():
+    limit = MAX_INTERVAL_REJECTIONS
+    # just under the limit, split across blocks, twice over
+    rng = _Sequence([-1e9] * (limit - 1) + [0.0] + [-1e9] * (limit - 1))
+    assert _draw_intervals(rng, 2e-3, 0.25, 2) == pytest.approx([2e-3, 2e-3])
+    with pytest.raises(SimulationError):
+        _draw_intervals(_Sequence([-1e9] * limit), 2e-3, 0.25, 1)
+    # rejections after the last interval needed are never drawn one at a time
+    assert _draw_intervals(_Sequence([0.0] + [-1e9] * limit), 2e-3, 0.25, 1) == pytest.approx([2e-3])
+
+
+def test_intervals_run_until_their_sum_passes_the_horizon():
+    # 2 ms + 2 ms lands exactly on a 4 ms horizon, which is not past it
+    assert _draw_intervals(_Sequence([]), 2e-3, 0.25, horizon=4e-3) == pytest.approx([2e-3] * 3)
+
+
+def _one_at_a_time(rng, mean, spread, count=None, horizon=math.inf):
+    """The intervals drawn one scalar normal at a time, resampling non-positive ones."""
+    out = []
+    while (len(out) < count) if count is not None else (sum(out) <= horizon):
+        value = mean * (1.0 + spread * rng.standard_normal())
+        if value > 0.0:
+            out.append(value)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("spread", [0.25, 1.5])
+def test_block_draws_equal_one_at_a_time_draws(spread):
+    """Same stream, same intervals; at spread 1.5 a quarter of the draws are
+    rejected, runs of them span blocks, and the horizon falls mid-block."""
+    for k in range(40):
+        for count, horizon in ((50, math.inf), (None, 60e-3), (None, 1e-4)):
+            block = _draw_intervals(np.random.default_rng((9, k)), 2e-3, spread, count, horizon)
+            scalar = _one_at_a_time(np.random.default_rng((9, k)), 2e-3, spread, count, horizon)
+            assert np.array_equal(block, scalar)
+
+
+def _oracle_memory_magnitudes(config):
+    acc = 0.0
+    for k in range(config.trials):
+        rng = np.random.default_rng((config.seed, k))
+        if config.bang_bang:
+            intervals = _one_at_a_time(rng, config.mean_interval, config.interval_spread,
+                                       horizon=max(config.observation_times))
+        else:
+            intervals = _one_at_a_time(rng, config.mean_interval, config.interval_spread,
+                                       count=2 * max(config.cycle_counts()))
+        schedule, snapshots = memory_trial_schedule(config, intervals)
+        acc = acc + simulate_amplitudes(schedule, snapshots)
+    return np.abs(acc / config.trials)
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"interval_spread": 0.1, "trials": 40},
+    {"bang_bang": True, "pulse_spacing": 0.5e-3},
+    {"bang_bang": True, "pulse_spacing": 1e-4, "observation_times": (4e-3, 12e-3, 60e-3)},
+])
+def test_run_memory_matches_the_schedule_oracle(overrides):
+    """The batched walk against memory_trial_schedule + simulate_amplitudes,
+    on the same (seed, k) streams drawn one normal at a time."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        config = base_memory(**overrides)
+    curve = run_memory(config)
+    assert np.max(np.abs(curve.magnitudes - _oracle_memory_magnitudes(config))) < 1e-12
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"total_time": 9e-3, "bang_bang": True, "pulse_spacing": 0.3e-3},
+    {"total_time": 9e-3, "bang_bang": True, "pulse_spacing": 0.3e-3, "random_train_phase": True},
+    {"remove_trivial_phase": False},
+])
+def test_run_transmission_matches_the_schedule_oracle(overrides):
+    config = base_transmission(**overrides)
+    result = run_transmission(config)
+    trivial = np.exp(-0.5j * J_REF * config.total_time) if config.remove_trivial_phase else 1.0
+    for k, amp in enumerate(result.amplitudes):
+        rng = np.random.default_rng((config.seed, k))
+        delta = rng.uniform(0.0, 2 * PI / J_REF)
+        offset = rng.uniform(0.0, config.pulse_spacing) if config.random_train_phase else 0.0
+        schedule = transmission_schedule(config, delta, offset)
+        expected = simulate_amplitudes(schedule, [config.total_time])[0] * trivial
+        assert abs(amp - expected) < 1e-12
+
+
+@pytest.mark.parametrize("spacing", [1e-5, 2e-5, 5e-5, 1e-4, 2e-4])
+def test_memory_train_stays_inside_the_horizon(spacing):
+    """(k + 1) * spacing rounds past 60 ms for these spacings; the last
+    pulse must sit on the horizon instead."""
+    cfg = base_memory(observation_times=(4e-3, 60e-3), bang_bang=True, pulse_spacing=spacing)
+    sched, _ = memory_trial_schedule(cfg, np.full(31, 2e-3))
+    train = [ev.time for ev in sched.events if ev.target == 1 and ev.angle == PI]
+    assert len(train) == round(60e-3 / spacing)
+    assert train[-1] == 60e-3
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dephasim import (
     AXIS_CYCLE,
@@ -15,6 +16,8 @@ from dephasim import (
     mat_equal,
     partial_trace_env,
     phase_shift,
+    phase_walk,
+    pi_pulse_signs,
     rotating_frame_residual,
     rotation_pulse,
     simulate_amplitudes,
@@ -23,6 +26,8 @@ from dephasim import (
     transverse_amplitude,
     validate_density,
 )
+
+from dephasim.pulse import AXES
 
 from helpers import J_REF, random_density, rho_00
 
@@ -264,6 +269,74 @@ def test_same_instant_same_qubit_keeps_written_order():
         free = np.diag(d)
         expected = u @ free @ rho0 @ free.conj().T @ u.conj().T
         assert mat_equal(out, expected, tol=1e-12)
+
+
+# Event times: a coarse grid makes events of different kinds coincide often.
+_event_time = st.one_of(
+    st.integers(1, 40).map(lambda k: k * 1e-4),
+    st.floats(1e-6, 4e-3, allow_nan=False),
+)
+
+
+@st.composite
+def walk_chunks(draw):
+    """A chunk of 1-3 trials with equal event counts and shared axes.
+
+    Each trial has random toggles and snapshots, and qubit-1 pulses made of
+    a regular train at a random offset plus pulses at random times.
+    """
+    rows = draw(st.integers(1, 3))
+    n_toggles = draw(st.integers(0, 6))
+    n_extra = draw(st.integers(0, 6))
+    n_train = draw(st.integers(0, 10))
+    n_snap = draw(st.integers(1, 4))
+    toggle_axes = draw(st.lists(st.sampled_from(AXES), min_size=n_toggles, max_size=n_toggles))
+    axes = draw(st.lists(st.sampled_from(AXES), min_size=n_train + n_extra,
+                         max_size=n_train + n_extra))
+    spacing = draw(st.sampled_from([1e-4, 2e-4, 3e-4]))
+    toggles, pulses, snapshots = [], [], []
+    for _ in range(rows):
+        toggles.append(draw(st.lists(_event_time, min_size=n_toggles, max_size=n_toggles)))
+        offset = draw(st.one_of(st.just(0.0), st.floats(0.0, spacing, exclude_max=True)))
+        train = [1e-4 + offset + k * spacing for k in range(n_train)]
+        pulses.append(train + draw(st.lists(_event_time, min_size=n_extra, max_size=n_extra)))
+        snapshots.append(sorted(draw(st.lists(_event_time, min_size=n_snap, max_size=n_snap))))
+
+    def table(times, width):
+        return np.array(times, dtype=float).reshape(rows, width)
+
+    return (table(toggles, n_toggles), tuple(toggle_axes), table(pulses, n_train + n_extra),
+            tuple(axes), table(snapshots, n_snap))
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_chunks())
+def test_phase_walk_matches_simulate_amplitudes(chunk):
+    """The batched walk against the state-vector oracle, trial by trial,
+    including events of different kinds at one instant."""
+    toggles, toggle_axes, pulses, axes, snapshots = chunk
+    sys = CouplingSystem(J_REF)
+    amps = phase_walk(J_REF, toggles, pulses, pi_pulse_signs(axes), snapshots)
+    assert amps.shape == snapshots.shape
+    for row in range(len(snapshots)):
+        events = [PulseEvent(0.0, 1, "y", PI / 2)]
+        events += [PulseEvent(float(t), 2, axis, PI) for t, axis in zip(toggles[row], toggle_axes)]
+        events += [PulseEvent(float(t), 1, axis, PI) for t, axis in zip(pulses[row], axes)]
+        events.sort(key=lambda ev: ev.time)
+        total = max([float(snapshots[row, -1])] + [ev.time for ev in events])
+        expected = simulate_amplitudes(PulseSchedule(sys, tuple(events), total), snapshots[row])
+        assert np.max(np.abs(amps[row] - expected)) < 1e-12
+
+
+def test_phase_walk_reads_snapshots_before_same_instant_pulses():
+    tau = 1.5e-3
+    y_pulse = pi_pulse_signs(("y",))
+    at_tau = np.array([[tau]])
+    before = phase_walk(J_REF, np.empty((1, 0)), at_tau, y_pulse, at_tau)
+    assert before[0, 0] == pytest.approx(np.exp(0.5j * J_REF * tau), abs=1e-15)
+    # toggle and y pulse at tau: a -> -conj(a), then the phase winds back
+    after = phase_walk(J_REF, at_tau, at_tau, y_pulse, np.array([[2 * tau]]))
+    assert after[0, 0] == pytest.approx(-np.exp(-1j * J_REF * tau), abs=1e-12)
 
 
 def test_lab_frame_hamiltonian_shape():
