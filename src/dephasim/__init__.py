@@ -36,8 +36,12 @@ from .channels import (
     channel_from_environment,
     channel_from_mixing,
     channels_equal_as_maps,
+    map_deviation,
     mean_phase_factor,
+    mixed_env_flip_channel,
+    mixture_flip_channel,
     phase_flip,
+    pure_env_flip_channel,
 )
 from .pulse import (
     AXIS_CYCLE,

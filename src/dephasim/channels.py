@@ -17,12 +17,15 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     IDENTITY,
+    KET_0,
+    KET_1,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     adjoint,
     as_matrix,
     is_unitary,
+    tensor,
     validate_density,
 )
 
@@ -108,13 +111,17 @@ class MixingEnsemble:
                 raise ValueError("ensemble contains a non-unitary operator")
 
 
+def _check_flip_probability(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"flip probability {p} outside [0, 1]")
+
+
 def phase_flip(p: float) -> KrausChannel:
     """Dephasing channel with operators ``{sqrt(p) I, sqrt(1-p) Z}``.
 
     Off-diagonal elements scale by ``2p - 1``; populations are untouched.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"flip probability {p} outside [0, 1]")
+    _check_flip_probability(p)
     ops = (np.sqrt(p) * IDENTITY, np.sqrt(1.0 - p) * SIGMA_Z)
     return KrausChannel(ops, label=f"phase_flip(p={p:g})")
 
@@ -150,16 +157,55 @@ def channel_from_mixing(ensemble: MixingEnsemble) -> KrausChannel:
     return KrausChannel(ops, label="unitary mixture")
 
 
+def pure_env_flip_channel(p: float) -> KrausChannel:
+    """`phase_flip(p)` dilated with the environment in a pure state.
+
+    The joint unitary ``I x |0><0| + Z x |1><1|`` applies Z to the system
+    when the environment is in |1>; the environment starts in
+    ``sqrt(p) |0> + sqrt(1-p) |1>``.
+    """
+    _check_flip_probability(p)
+    psi = np.sqrt(p) * KET_0 + np.sqrt(1.0 - p) * KET_1
+    u = tensor(IDENTITY, np.outer(KET_0, KET_0)) + tensor(SIGMA_Z, np.outer(KET_1, KET_1))
+    return channel_from_environment(u, np.outer(psi, psi.conj()))
+
+
+def mixed_env_flip_channel(p: float) -> KrausChannel:
+    """`phase_flip(p)` dilated with the environment in a mixed state.
+
+    The joint unitary ``I x |+><+| + Z x |-><-|`` applies Z to the system
+    when the environment is in |->; the environment starts in
+    ``p |+><+| + (1-p) |-><-|``.
+    """
+    _check_flip_probability(p)
+    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    rho_env = p * np.outer(plus, plus) + (1.0 - p) * np.outer(minus, minus)
+    u = tensor(IDENTITY, np.outer(plus, plus)) + tensor(SIGMA_Z, np.outer(minus, minus))
+    return channel_from_environment(u, rho_env)
+
+
+def mixture_flip_channel(p: float) -> KrausChannel:
+    """`phase_flip(p)` as the mixture of I with probability p and Z otherwise."""
+    _check_flip_probability(p)
+    return channel_from_mixing(MixingEnsemble((IDENTITY, SIGMA_Z), (p, 1.0 - p)))
+
+
+def map_deviation(a: KrausChannel, b: KrausChannel) -> float:
+    """Largest element-wise difference of the two maps on the basis {I, X, Y, Z}."""
+    return max(
+        float(np.max(np.abs(a._apply_matrix(m) - b._apply_matrix(m))))
+        for m in (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z)
+    )
+
+
 def channels_equal_as_maps(a: KrausChannel, b: KrausChannel, tol: float = DEFAULT_TOL) -> bool:
     """Compare two channels as linear maps on the operator basis {I, X, Y, Z}.
 
     Different operator lists can represent the same map, so comparisons on a
     basis are the only faithful equality.
     """
-    for basis in (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z):
-        if np.max(np.abs(a._apply_matrix(basis) - b._apply_matrix(basis))) > tol:
-            return False
-    return True
+    return map_deviation(a, b) <= tol
 
 
 @dataclass(frozen=True)

@@ -16,15 +16,10 @@ The config is a single JSON document::
 transmission params: j_hz, total_time, noise_start, trials, and optionally
 bang_bang, pulse_spacing, pulses_per_trial, random_train_phase, group_size,
 remove_trivial_phase.  memory params: j_hz, mean_interval, interval_spread
-(number or list; one run and one CSV per value), observation_times (list of
-seconds, or {"max_time": t} for the full grid of toggle cycles), trials,
-and optionally bang_bang with pulse_spacing.  Frequencies enter as cyclic
+(number or list; one run and one CSV per value), observation_times (three or
+more: a list of seconds, or {"max_time": t} for the grid of toggle cycles),
+trials, and optionally bang_bang with pulse_spacing.  Frequencies enter as cyclic
 j_hz and are converted to rad/s internally.  Times are seconds.
-
-Pulse schedules serialise as::
-
-    {"j_hz": ..., "total_time": ...,
-     "events": [{"time": ..., "target": 1|2, "axis": "x|-x|y|-y", "angle": ...}, ...]}
 
 Exit codes: 0 success, 1 config error, 2 runtime/simulation error.
 Identical config and seed produce byte-identical outputs.
@@ -40,7 +35,6 @@ from pathlib import Path
 import numpy as np
 
 from . import channels, experiments, pulse
-from .linalg import DEFAULT_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -156,14 +150,21 @@ def _observation_times(params: dict, mean_interval: float, location: str) -> tup
     cycle = 2.0 * mean_interval
     where = f"{location}.observation_times"
     if isinstance(raw, dict):
-        max_time = _require(raw, "max_time", float, where)
-        n = int(max_time / cycle + 1e-9)
-        if n < 1:
-            raise ConfigError("max_time shorter than one toggle cycle", where)
-        return tuple(cycle * k for k in range(1, n + 1))
-    if isinstance(raw, list) and raw:
-        return tuple(_floats(raw, where))
-    raise ConfigError("observation_times must be a non-empty list or {'max_time': t}", where)
+        cycles = _require(raw, "max_time", float, where) / cycle + 1e-9
+        where += ".max_time"
+        # one time per toggle cycle: bound the grid before building it
+        if cycles > experiments.MAX_TRIAL_EVENTS:
+            raise ConfigError(
+                f"max_time spans more than {experiments.MAX_TRIAL_EVENTS} toggle cycles", where)
+        times = tuple(cycle * k for k in range(1, int(cycles) + 1))
+    elif isinstance(raw, list):
+        times = tuple(_floats(raw, where))
+    else:
+        raise ConfigError("observation_times must be a list or {'max_time': t}", where)
+    # the exponential fit of the decay needs three points
+    if len(times) < 3:
+        raise ConfigError("need at least 3 observation times", where)
+    return times
 
 
 def _build_memory(params: dict, seed: int, spread: float) -> experiments.MemoryConfig:
@@ -185,64 +186,19 @@ def _build_memory(params: dict, seed: int, spread: float) -> experiments.MemoryC
 
 
 # ---------------------------------------------------------------------------
-# schedule serialisation
-# ---------------------------------------------------------------------------
-
-def schedule_to_dict(schedule: pulse.PulseSchedule) -> dict:
-    """JSON-ready form of a schedule (see the module docstring for the schema)."""
-    return {
-        "j_hz": schedule.system.j / TWO_PI,
-        "total_time": schedule.total_time,
-        "events": [
-            {"time": ev.time, "target": ev.target, "axis": ev.axis, "angle": ev.angle}
-            for ev in schedule.events
-        ],
-    }
-
-
-def schedule_from_dict(doc: dict) -> pulse.PulseSchedule:
-    try:
-        system = pulse.CouplingSystem(TWO_PI * float(doc["j_hz"]))
-        events = tuple(
-            pulse.PulseEvent(float(e["time"]), int(e["target"]), str(e["axis"]), float(e["angle"]))
-            for e in doc["events"]
-        )
-        return pulse.PulseSchedule(system, events, float(doc["total_time"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad schedule document: {exc}", "schedule")
-
-
-# ---------------------------------------------------------------------------
 # outputs
 # ---------------------------------------------------------------------------
 
-def write_curve_csv(curve: experiments.DecayCurve, path) -> None:
-    """Write a decay curve as CSV with columns time_s, magnitude, fit_magnitude.
-
-    Values carry 12 significant digits.  An empty curve is an error and no
-    file is created.
-    """
-    if len(curve.times) == 0:
-        raise ValueError("refusing to write an empty decay curve")
-    fit_mags = curve.fit.magnitude(curve.times)
-    lines = ["time_s,magnitude,fit_magnitude"]
-    for t, m, f in zip(curve.times, curve.magnitudes, fit_mags):
-        lines.append(f"{_fmt(t)},{_fmt(m)},{_fmt(f)}")
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+def _write_csv(path: Path, header: str, rows: list[str]) -> None:
+    """Write ``header`` and the preformatted ``rows`` as lines of a CSV file."""
+    path.write_text(header + "\n" + "\n".join(rows) + "\n", newline="\n")
 
 
-def _write_ensemble_csv(result: experiments.EnsembleResult, path) -> None:
-    lines = ["trial,amplitude_re,amplitude_im"]
-    for k, a in enumerate(result.amplitudes):
-        lines.append(f"{k},{_fmt(a.real)},{_fmt(a.imag)}")
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
-
-
-def _write_groups_csv(result: experiments.EnsembleResult, path) -> None:
-    lines = ["group,amplitude_re,amplitude_im,magnitude"]
-    for k, a in enumerate(result.group_averages):
-        lines.append(f"{k},{_fmt(a.real)},{_fmt(a.imag)},{_fmt(abs(a))}")
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+def _report(path: Path, lines: list[str]) -> None:
+    """Write ``lines`` to ``path`` and print them."""
+    text = "\n".join(lines)
+    path.write_text(text + "\n", newline="\n")
+    print(text)
 
 
 def _spread_suffix(spread: float) -> str:
@@ -262,8 +218,12 @@ def _pct(simulated: float, predicted: float) -> str:
 def _run_transmission(params: dict, seed: int, out: Path) -> None:
     config = _build_transmission(params, seed)
     result = experiments.run_transmission(config)
-    _write_ensemble_csv(result, out / "amplitudes.csv")
-    _write_groups_csv(result, out / "group_averages.csv")
+    _write_csv(out / "amplitudes.csv", "trial,amplitude_re,amplitude_im", [
+        f"{k},{_fmt(a.real)},{_fmt(a.imag)}" for k, a in enumerate(result.amplitudes)
+    ])
+    _write_csv(out / "group_averages.csv", "group,amplitude_re,amplitude_im,magnitude", [
+        f"{k},{_fmt(a.real)},{_fmt(a.imag)},{_fmt(abs(a))}" for k, a in enumerate(result.group_averages)
+    ])
 
     magnitude = abs(result.grand_average)
     if not config.bang_bang:
@@ -290,29 +250,18 @@ def _run_transmission(params: dict, seed: int, out: Path) -> None:
         f"  group magnitudes: min {_fmt(np.abs(result.group_averages).min())}, "
         f"max {_fmt(np.abs(result.group_averages).max())}",
     ]
-    (out / "summary.txt").write_text("\n".join(lines) + "\n", newline="\n")
-    print("\n".join(lines))
+    _report(out / "summary.txt", lines)
 
 
 def _run_memory(params: dict, seed: int, out: Path) -> None:
-    spreads = _spread_list(params, "params")
-    header = None
     rows = []
-    for spread in spreads:
+    for spread in _spread_list(params, "params"):
         config = _build_memory(params, seed, spread)
         curve = experiments.run_memory(config)
-        write_curve_csv(curve, out / f"decay_{_spread_suffix(spread)}.csv")
-        if header is None:
-            header = [
-                "memory experiment",
-                f"  j_hz = {_fmt(config.j / TWO_PI)}, mean_interval = {_fmt(config.mean_interval)} s, "
-                f"trials = {config.trials}, seed = {config.seed}",
-                f"  bang_bang = {config.bang_bang}"
-                + (f", pulse_spacing = {_fmt(config.pulse_spacing)} s" if config.bang_bang else ""),
-                "",
-                "  spread   t2_sim_s      t2_pred_s     t2_dev    final_mag   final_pred  contrast",
-            ]
-        t_final = curve.times[-1]
+        _write_csv(out / f"decay_{_spread_suffix(spread)}.csv", "time_s,magnitude,fit_magnitude", [
+            f"{_fmt(t)},{_fmt(m)},{_fmt(f)}"
+            for t, m, f in zip(curve.times, curve.magnitudes, curve.fit.magnitude(curve.times))
+        ])
         n_cycles = config.cycle_counts()[-1]
         if config.bang_bang:
             t2_pred = experiments.bang_bang_dephasing_time(
@@ -332,9 +281,17 @@ def _run_memory(params: dict, seed: int, out: Path) -> None:
             f"{_pct(t2_sim, t2_pred) if math.isfinite(t2_pred) and math.isfinite(t2_sim) else 'n/a':>7}  "
             f"{float(curve.magnitudes[-1]):10.6f}  {final_pred:10.6f}  {contrast}"
         )
-    lines = (header or []) + rows
-    (out / "summary.txt").write_text("\n".join(lines) + "\n", newline="\n")
-    print("\n".join(lines))
+    # the header reads only settings that every spread shares
+    header = [
+        "memory experiment",
+        f"  j_hz = {_fmt(config.j / TWO_PI)}, mean_interval = {_fmt(config.mean_interval)} s, "
+        f"trials = {config.trials}, seed = {config.seed}",
+        f"  bang_bang = {config.bang_bang}"
+        + (f", pulse_spacing = {_fmt(config.pulse_spacing)} s" if config.bang_bang else ""),
+        "",
+        "  spread   t2_sim_s      t2_pred_s     t2_dev    final_mag   final_pred  contrast",
+    ]
+    _report(out / "summary.txt", header + rows)
 
 
 def _run_channel_demo(params: dict, out: Path) -> None:
@@ -350,13 +307,10 @@ def _run_channel_demo(params: dict, out: Path) -> None:
     lines.append("  p       pure-env dilation   mixed-env dilation   unitary mixture")
     for p in probs:
         direct = channels.phase_flip(p)
-        pure = _pure_dilation(p)
-        mixed = _mixed_dilation(p)
-        mixture = _z_mixture(p)
-        lines.append(
-            f"  {p:5.3f}   {_map_deviation(direct, pure):.3e}           "
-            f"{_map_deviation(direct, mixed):.3e}            {_map_deviation(direct, mixture):.3e}"
-        )
+        pure, mixed, mixture = (channels.map_deviation(direct, build(p)) for build in (
+            channels.pure_env_flip_channel, channels.mixed_env_flip_channel,
+            channels.mixture_flip_channel))
+        lines.append(f"  {p:5.3f}   {pure:.3e}           {mixed:.3e}            {mixture:.3e}")
     lines += [
         "",
         "mean phase factor examples",
@@ -364,8 +318,7 @@ def _run_channel_demo(params: dict, out: Path) -> None:
         f"  gaussian std 0.5:    {channels.mean_phase_factor(channels.GaussianPhase(0.5)):.6f}",
         f"  two-point +/-0.7:    {channels.mean_phase_factor(channels.TwoPointPhase(0.7)):.6f}",
     ]
-    (out / "report.txt").write_text("\n".join(lines) + "\n", newline="\n")
-    print("\n".join(lines))
+    _report(out / "report.txt", lines)
 
 
 def _run_verify(params: dict, out: Path) -> int:
@@ -383,14 +336,11 @@ def _run_verify(params: dict, out: Path) -> int:
         res = pulse.rotating_frame_residual(lab, t, dt)
         residuals.append(res)
         lines.append(f"  dt = {dt:.2e} s   residual = {res:.6e}")
-    ratio1 = residuals[0] / residuals[1]
-    ratio2 = residuals[1] / residuals[2]
-    frame_ok = (
-        residuals[-1] < 1e-3 * h_norm
-        and 3.0 < ratio1 < 5.0
-        and 3.0 < ratio2 < 5.0
-    )
-    lines.append(f"  quadratic shrink ratios: {ratio1:.2f}, {ratio2:.2f} (expect ~4)")
+    # a residual of 0 (frequencies too small to resolve) leaves no ratio
+    ratios = [a / b if b else math.nan for a, b in zip(residuals[:2], residuals[1:3])]
+    frame_ok = residuals[-1] < 1e-3 * h_norm and all(3.0 < r < 5.0 for r in ratios)
+    shown = ", ".join("n/a" if math.isnan(r) else f"{r:.2f}" for r in ratios)
+    lines.append(f"  quadratic shrink ratios: {shown} (expect ~4)")
     lines.append(f"  final residual vs 1e-3 * |H| = {1e-3 * h_norm:.3e}: {'ok' if frame_ok else 'FAIL'}")
 
     lines.append("")
@@ -398,7 +348,8 @@ def _run_verify(params: dict, out: Path) -> int:
     channel_ok = True
     for p in (0.0, 0.25, 0.5, 1.0):
         direct = channels.phase_flip(p)
-        dev = max(_map_deviation(direct, _pure_dilation(p)), _map_deviation(direct, _mixed_dilation(p)))
+        dev = max(channels.map_deviation(direct, channels.pure_env_flip_channel(p)),
+                  channels.map_deviation(direct, channels.mixed_env_flip_channel(p)))
         ok = dev <= 1e-12
         channel_ok = channel_ok and ok
         lines.append(f"  p = {p:4.2f}: max map deviation = {dev:.3e} {'ok' if ok else 'FAIL'}")
@@ -406,46 +357,8 @@ def _run_verify(params: dict, out: Path) -> int:
     passed = frame_ok and channel_ok
     lines.append("")
     lines.append("verify: " + ("all checks passed" if passed else "CHECKS FAILED"))
-    (out / "report.txt").write_text("\n".join(lines) + "\n", newline="\n")
-    print("\n".join(lines))
+    _report(out / "report.txt", lines)
     return 0 if passed else 2
-
-
-# Demo constructions shared by channel-demo and verify.
-
-def _pure_dilation(p: float) -> channels.KrausChannel:
-    from .linalg import IDENTITY, KET_0, KET_1, SIGMA_Z, tensor
-
-    psi = math.sqrt(p) * KET_0 + math.sqrt(1.0 - p) * KET_1
-    u = tensor(IDENTITY, np.outer(KET_0, KET_0)) + tensor(SIGMA_Z, np.outer(KET_1, KET_1))
-    return channels.channel_from_environment(u, np.outer(psi, psi.conj()))
-
-
-def _mixed_dilation(p: float) -> channels.KrausChannel:
-    from .linalg import IDENTITY, SIGMA_Z, tensor
-
-    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
-    rho_env = p * np.outer(plus, plus) + (1.0 - p) * np.outer(minus, minus)
-    u = tensor(IDENTITY, np.outer(plus, plus)) + tensor(SIGMA_Z, np.outer(minus, minus))
-    return channels.channel_from_environment(u, rho_env)
-
-
-def _z_mixture(p: float) -> channels.KrausChannel:
-    from .linalg import IDENTITY, SIGMA_Z
-
-    return channels.channel_from_mixing(
-        channels.MixingEnsemble((IDENTITY, SIGMA_Z), (p, 1.0 - p))
-    )
-
-
-def _map_deviation(a: channels.KrausChannel, b: channels.KrausChannel) -> float:
-    from .linalg import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z
-
-    dev = 0.0
-    for basis in (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z):
-        dev = max(dev, float(np.max(np.abs(a._apply_matrix(basis) - b._apply_matrix(basis)))))
-    return dev
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,9 @@ from .pulse import (
 FIT_FLOOR = 0.02
 # Consecutive non-positive interval draws before the run is abandoned.
 MAX_INTERVAL_REJECTIONS = 100
+# Most events (toggles and pulses) one trial may have; bounds what a config
+# can ask the kernel to hold.  The sample configs need under 200.
+MAX_TRIAL_EVENTS = 100_000
 # Standard normals drawn at a time for the intervals of one memory trial.
 _DRAW_BLOCK = 32
 # Trials per call of the phase-walk kernel; bounds its temporary arrays.
@@ -99,6 +102,8 @@ class TransmissionConfig:
             if self.j * self.pulse_spacing >= 1.0:
                 raise ValueError("pulse train too sparse: need j * pulse_spacing < 1")
             n = self.pulse_count()
+            if n > MAX_TRIAL_EVENTS:
+                raise ValueError(f"pulse train exceeds the limit of {MAX_TRIAL_EVENTS} events a trial")
             if self.noise_start + n * self.pulse_spacing > self.total_time + 1e-12:
                 raise ValueError(
                     f"train of {n} pulses does not fit between noise_start and total_time"
@@ -117,7 +122,9 @@ class TransmissionConfig:
                 raise ValueError("pulses_per_trial must be at least 1")
             return self.pulses_per_trial
         assert self.pulse_spacing is not None
-        needed = math.ceil((2 * PI / self.j + self.pulse_spacing) / self.pulse_spacing - 1e-12)
+        # capped, so that a subnormal spacing gives a count over the limit, not an overflow
+        needed = math.ceil(min((2 * PI / self.j + self.pulse_spacing) / self.pulse_spacing - 1e-12,
+                               2 * MAX_TRIAL_EVENTS))
         return ((needed + 7) // 8) * 8
 
 
@@ -152,6 +159,23 @@ class MemoryConfig:
             raise ValueError("interval_spread must lie in [0, 0.25]")
         if len(self.observation_times) == 0:
             raise ValueError("need at least one observation time")
+        if self.bang_bang:
+            if self.pulse_spacing is None or not self.pulse_spacing > 0:
+                raise ValueError("bang_bang requires a positive pulse_spacing")
+            if self.pulse_spacing >= self.interval_spread * self.mean_interval:
+                warnings.warn(
+                    "pulse_spacing is not small against the interval jitter; "
+                    "the closed-form retention factor becomes approximate",
+                    stacklevel=2,
+                )
+        elif self.pulse_spacing is not None:
+            raise ValueError("pulse_spacing only applies with bang_bang")
+        # toggles up to the horizon (their mean number with bang_bang) and the train
+        horizon = max(self.observation_times)
+        events = horizon / self.mean_interval + (horizon / self.pulse_spacing if self.bang_bang else 0)
+        if events > MAX_TRIAL_EVENTS:
+            raise ValueError(
+                f"toggles and pulse train exceed the limit of {MAX_TRIAL_EVENTS} events a trial")
         cycle = 2.0 * self.mean_interval
         prev = 0.0
         for t in self.observation_times:
@@ -167,17 +191,6 @@ class MemoryConfig:
             raise ValueError("trials must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if self.bang_bang:
-            if self.pulse_spacing is None or not self.pulse_spacing > 0:
-                raise ValueError("bang_bang requires a positive pulse_spacing")
-            if self.pulse_spacing >= self.interval_spread * self.mean_interval:
-                warnings.warn(
-                    "pulse_spacing is not small against the interval jitter; "
-                    "the closed-form retention factor becomes approximate",
-                    stacklevel=2,
-                )
-        elif self.pulse_spacing is not None:
-            raise ValueError("pulse_spacing only applies with bang_bang")
 
     def cycle_counts(self) -> tuple[int, ...]:
         cycle = 2.0 * self.mean_interval

@@ -189,27 +189,23 @@ def simulate_amplitudes(schedule: PulseSchedule, times: Sequence[float]) -> np.n
     if times and (times[0] < 0 or times[-1] > schedule.total_time):
         raise ValueError("snapshot times must lie within the schedule window")
     j = schedule.system.j
+    events = _ordered(schedule.events)
+    # (time, 0 for a snapshot or 1 for an event, index): at one instant
+    # snapshots come first, and each kind keeps its own order
+    steps = sorted([(t, 0, k) for k, t in enumerate(times)]
+                   + [(ev.time, 1, k) for k, ev in enumerate(events)])
     psi = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     out = np.empty(len(times), dtype=complex)
-    ti = 0
     now = 0.0
-    for ev in _ordered(schedule.events):
-        while ti < len(times) and times[ti] <= ev.time:
-            if times[ti] > now:
-                psi = psi * _free_phases(j, times[ti] - now)
-                now = times[ti]
-            out[ti] = 2.0 * (psi[2] * psi[0].conjugate() + psi[3] * psi[1].conjugate())
-            ti += 1
-        if ev.time > now:
-            psi = psi * _free_phases(j, ev.time - now)
-            now = ev.time
-        psi = _event_unitary(ev.target, ev.axis, ev.angle) @ psi
-    for t in times[ti:]:
+    for t, is_event, k in steps:
         if t > now:
             psi = psi * _free_phases(j, t - now)
             now = t
-        out[ti] = 2.0 * (psi[2] * psi[0].conjugate() + psi[3] * psi[1].conjugate())
-        ti += 1
+        if is_event:
+            ev = events[k]
+            psi = _event_unitary(ev.target, ev.axis, ev.angle) @ psi
+        else:
+            out[k] = 2.0 * (psi[2] * psi[0].conjugate() + psi[3] * psi[1].conjugate())
     return out
 
 

@@ -24,7 +24,6 @@ from dephasim import (
     bang_bang_retention,
     bang_bang_retention_fixed_start,
     bloch_from_density,
-    channel_from_environment,
     channel_from_mixing,
     channels_equal_as_maps,
     decay_contrast,
@@ -34,41 +33,24 @@ from dephasim import (
     lab_frame_hamiltonian,
     LabFrameParams,
     mat_equal,
+    mixed_env_flip_channel,
+    mixture_flip_channel,
     partial_trace_env,
     phase_flip,
     phase_shift,
+    pure_env_flip_channel,
     rotating_frame_residual,
     rotation_pulse,
     run_memory,
     run_transmission,
     simulate_schedule,
-    tensor,
     transverse_amplitude,
 )
 from dephasim.experiments import four_case_phase
-from dephasim.linalg import KET_0, KET_1
 
 from helpers import J_REF, random_density, rho_00, window_schedule
 
 PI = math.pi
-P0 = np.outer(KET_0, KET_0)
-P1 = np.outer(KET_1, KET_1)
-
-
-def pure_env_flip_channel(p):
-    """Dephasing via a conditional flip with the environment in a pure state."""
-    psi = math.sqrt(p) * KET_0 + math.sqrt(1.0 - p) * KET_1
-    u = tensor(IDENTITY, P0) + tensor(SIGMA_Z, P1)
-    return channel_from_environment(u, np.outer(psi, psi))
-
-
-def mixed_env_flip_channel(p):
-    """Same map from a CNOT-like unitary with a mixed +/- environment."""
-    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
-    u = tensor(IDENTITY, np.outer(plus, plus)) + tensor(SIGMA_Z, np.outer(minus, minus))
-    rho_env = p * np.outer(plus, plus) + (1.0 - p) * np.outer(minus, minus)
-    return channel_from_environment(u, rho_env)
 
 
 def test_criterion_1_dilations_reproduce_the_phase_flip_channel():
@@ -77,7 +59,7 @@ def test_criterion_1_dilations_reproduce_the_phase_flip_channel():
     rng = np.random.default_rng(11)
     for p in (0.0, 0.25, 0.5, 1.0):
         direct = phase_flip(p)
-        for built in (pure_env_flip_channel(p), mixed_env_flip_channel(p)):
+        for built in (pure_env_flip_channel(p), mixed_env_flip_channel(p), mixture_flip_channel(p)):
             assert channels_equal_as_maps(built, direct, tol=1e-12)
             for _ in range(10):
                 rho = random_density(rng)

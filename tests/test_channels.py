@@ -15,25 +15,20 @@ from dephasim import (
     channel_from_environment,
     channel_from_mixing,
     channels_equal_as_maps,
+    map_deviation,
     mat_equal,
     mean_phase_factor,
+    mixed_env_flip_channel,
+    mixture_flip_channel,
     partial_trace_env,
     phase_flip,
     phase_shift,
+    pure_env_flip_channel,
     tensor,
     transverse_amplitude,
 )
 
 from helpers import random_density, random_unitary
-
-P0 = np.array([[1, 0], [0, 0]], dtype=complex)
-P1 = np.array([[0, 0], [0, 1]], dtype=complex)
-FLIP_U = tensor(IDENTITY, P0) + tensor(SIGMA_Z, P1)
-
-
-def pure_env(p):
-    psi = np.sqrt(p) * np.array([1.0, 0.0]) + np.sqrt(1.0 - p) * np.array([0.0, 1.0])
-    return np.outer(psi, psi)
 
 
 def test_phase_flip_operators():
@@ -58,9 +53,10 @@ def test_phase_flip_action():
 
 
 def test_phase_flip_rejects_bad_probability():
-    for p in (-0.1, 1.1, 2.0):
-        with pytest.raises(ValueError):
-            phase_flip(p)
+    for build in (phase_flip, pure_env_flip_channel, mixed_env_flip_channel, mixture_flip_channel):
+        for p in (-0.1, 1.1, 2.0):
+            with pytest.raises(ValueError, match="outside"):
+                build(p)
 
 
 def test_completeness_enforced():
@@ -77,7 +73,7 @@ def test_trace_preservation_and_positivity_on_random_inputs():
     rng = np.random.default_rng(21)
     chans = [
         phase_flip(0.3),
-        channel_from_environment(FLIP_U, pure_env(0.4)),
+        pure_env_flip_channel(0.4),
         channel_from_mixing(MixingEnsemble(
             (IDENTITY, SIGMA_Z, phase_shift(0.9)), (0.2, 0.3, 0.5))),
     ]
@@ -115,34 +111,27 @@ def test_dilation_matches_partial_trace_on_random_inputs():
 
 def test_dilation_of_flip_unitary_is_phase_flip():
     for p in (0.0, 0.25, 0.5, 1.0):
-        ch = channel_from_environment(FLIP_U, pure_env(p))
-        assert channels_equal_as_maps(ch, phase_flip(p), tol=1e-12)
+        assert channels_equal_as_maps(pure_env_flip_channel(p), phase_flip(p), tol=1e-12)
     # identity joint unitary gives the identity channel whatever the environment
-    ch = channel_from_environment(np.eye(4), pure_env(0.3))
+    ch = channel_from_environment(np.eye(4), np.diag([0.3, 0.7]))
     assert channels_equal_as_maps(ch, KrausChannel((IDENTITY,)), tol=1e-12)
 
 
 def test_mixed_environment_dilation_is_phase_flip():
     """A CNOT-like unitary with a mixed +/- environment dephases identically."""
-    plus = np.array([1.0, 1.0]) / np.sqrt(2)
-    minus = np.array([1.0, -1.0]) / np.sqrt(2)
-    u = tensor(IDENTITY, np.outer(plus, plus)) + tensor(SIGMA_Z, np.outer(minus, minus))
     for p in (0.0, 0.25, 0.5, 1.0):
-        rho_e = p * np.outer(plus, plus) + (1 - p) * np.outer(minus, minus)
-        ch = channel_from_environment(u, rho_e)
-        assert channels_equal_as_maps(ch, phase_flip(p), tol=1e-12)
+        assert channels_equal_as_maps(mixed_env_flip_channel(p), phase_flip(p), tol=1e-12)
 
 
 def test_dilation_input_validation():
     with pytest.raises(ValueError, match="unitary"):
-        channel_from_environment(np.diag([1, 1, 1, 2]), pure_env(0.5))
+        channel_from_environment(np.diag([1, 1, 1, 2]), np.eye(2) / 2)
     with pytest.raises(ValueError):
-        channel_from_environment(FLIP_U, np.eye(2))
+        channel_from_environment(np.eye(4), np.eye(2))
 
 
 def test_mixing_constructions():
-    ens = MixingEnsemble((IDENTITY, SIGMA_Z), (0.5, 0.5))
-    assert channels_equal_as_maps(channel_from_mixing(ens), phase_flip(0.5))
+    assert channels_equal_as_maps(mixture_flip_channel(0.5), phase_flip(0.5))
     single = channel_from_mixing(MixingEnsemble((SIGMA_X,), (1.0,)))
     rho = np.diag([0.8, 0.2]).astype(complex)
     assert mat_equal(single.apply(rho), SIGMA_X @ rho @ SIGMA_X, tol=1e-14)
@@ -173,7 +162,10 @@ def test_mixing_validation():
 
 def test_map_equality_semantics():
     assert not channels_equal_as_maps(phase_flip(0.3), phase_flip(0.7))
+    # X maps to (2p - 1) X, so the off-diagonal entries differ by 0.8
+    assert map_deviation(phase_flip(0.3), phase_flip(0.7)) == pytest.approx(0.8, abs=1e-15)
     ch = phase_flip(0.25)
+    assert map_deviation(ch, ch) == 0.0
     permuted = KrausChannel(tuple(reversed(ch.operators)))
     assert channels_equal_as_maps(ch, permuted)
 

@@ -4,20 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from dephasim import CouplingSystem, MemoryConfig, PulseEvent, PulseSchedule, run_memory
-from dephasim.cli import (
-    ConfigError,
-    _fmt,
-    _spread_suffix,
-    load_config,
-    main,
-    run,
-    schedule_from_dict,
-    schedule_to_dict,
-    write_curve_csv,
-)
-
-from helpers import J_REF
+from dephasim import MemoryConfig, run_memory
+from dephasim.cli import ConfigError, _fmt, _spread_suffix, _write_csv, load_config, main, run
 
 
 def write_json(path, doc):
@@ -285,6 +273,32 @@ def test_zero_mean_interval_is_a_config_error(tmp_path, capsys):
     _config_error(tmp_path, capsys, doc, "(at params.mean_interval)")
 
 
+def test_fewer_than_three_observation_times_is_a_config_error(tmp_path, capsys):
+    """The decay fit needs three points; with two the run used to fail at the end."""
+    doc = memory_doc()
+    doc["params"]["observation_times"] = [4e-3, 8e-3]
+    _config_error(tmp_path, capsys, doc, "at least 3", "(at params.observation_times)")
+    doc["params"]["observation_times"] = {"max_time": 8e-3}
+    _config_error(tmp_path, capsys, doc, "at least 3", "(at params.observation_times.max_time)")
+
+
+@pytest.mark.parametrize("experiment, params, where", [
+    ("memory", {"observation_times": [4e-3, 8e-3, 1e9]}, "(at params)"),
+    ("memory", {"observation_times": {"max_time": 1e12}}, "(at params.observation_times.max_time)"),
+    ("memory", {"bang_bang": True, "pulse_spacing": 1e-12}, "(at params)"),
+    ("transmission", {"total_time": 9e-3, "bang_bang": True, "pulse_spacing": 1e-12}, "(at params)"),
+    # subnormal values whose event counts overflow to infinity
+    ("memory", {"mean_interval": 5e-324, "observation_times": [1, 2, 3]}, "(at params)"),
+    ("transmission", {"total_time": 9e-3, "bang_bang": True, "pulse_spacing": 5e-324}, "(at params)"),
+], ids=["observation_times", "max_time", "memory_train", "transmission_train",
+        "subnormal_interval", "subnormal_spacing"])
+def test_configs_over_the_event_limit_are_config_errors(tmp_path, capsys, experiment, params, where):
+    """Finite values that would ask for terabytes, or hang, exit 1 up front."""
+    doc = memory_doc() if experiment == "memory" else transmission_doc()
+    doc["params"].update(params)
+    _config_error(tmp_path, capsys, doc, "100000", where)
+
+
 @pytest.mark.parametrize("spacing", [1e-5, 2e-5, 5e-5, 1e-4, 2e-4])
 def test_pulsed_memory_train_ending_on_the_horizon_runs(tmp_path, spacing):
     """k * spacing rounds past max_time = 60 ms for these spacings."""
@@ -337,50 +351,25 @@ def test_verify_report_passes(tmp_path):
     assert "quadratic shrink ratios" in report
 
 
+def test_verify_with_unresolvable_frequencies_fails_its_checks(tmp_path, capsys):
+    """Every residual is 0 here, so there are no shrink ratios to judge."""
+    doc = {"experiment": "verify", "params": {"omega_2_hz": 1e-300, "j_hz": 1e-300}}
+    out = tmp_path / "verify"
+    assert main([write_json(tmp_path / "c.json", doc), "--out", str(out)]) == 2
+    report = (out / "report.txt").read_text()
+    assert "quadratic shrink ratios: n/a, n/a (expect ~4)" in report
+    assert "CHECKS FAILED" in report
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
-# serialisation helpers
+# output helpers
 # ---------------------------------------------------------------------------
 
-def test_schedule_document_round_trip():
-    sched = PulseSchedule(
-        CouplingSystem(J_REF),
-        (PulseEvent(0.0, 1, "y", math.pi / 2), PulseEvent(1e-3, 2, "x", math.pi)),
-        5e-3,
-    )
-    doc = schedule_to_dict(sched)
-    assert doc["j_hz"] == pytest.approx(215.5)
-    back = schedule_from_dict(doc)
-    assert back.total_time == sched.total_time
-    assert back.system.j == pytest.approx(sched.system.j)
-    assert back.events == sched.events
-
-
-def test_schedule_document_rejects_garbage():
-    with pytest.raises(ConfigError, match="schedule"):
-        schedule_from_dict({"j_hz": 215.5})
-    with pytest.raises(ConfigError, match="schedule"):
-        schedule_from_dict({"j_hz": 215.5, "total_time": 1e-3,
-                            "events": [{"time": 0.0, "target": 9, "axis": "x", "angle": 1.0}]})
-
-
-def test_write_curve_csv_contract(tmp_path):
-    from dephasim import DecayCurve, fit_exponential
-
-    t = np.array([0.004, 0.008, 0.012])
-    m = np.exp(-t / 0.035)
-    curve = DecayCurve(times=t, magnitudes=m, fit=fit_exponential(t, m))
-    path = tmp_path / "curve.csv"
-    write_curve_csv(curve, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "time_s,magnitude,fit_magnitude"
-    assert len(lines) == 4
-    assert lines[1].startswith("0.004,")
-
-    empty = DecayCurve(times=np.array([]), magnitudes=np.array([]), fit=curve.fit)
-    target = tmp_path / "empty.csv"
-    with pytest.raises(ValueError, match="empty"):
-        write_curve_csv(empty, target)
-    assert not target.exists()
+def test_write_csv_writes_header_and_rows(tmp_path):
+    path = tmp_path / "t.csv"
+    _write_csv(path, "time_s,magnitude", ["0.004,0.9", "0.008,0.81"])
+    assert path.read_bytes() == b"time_s,magnitude\n0.004,0.9\n0.008,0.81\n"
 
 
 def test_fmt_and_spread_suffix():
