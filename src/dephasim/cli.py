@@ -110,6 +110,13 @@ def _coupling(params: dict, location: str) -> float:
     return TWO_PI * _positive(_require(params, "j_hz", float, location), "j_hz", location)
 
 
+def _trials(params: dict, location: str) -> int:
+    trials = _require(params, "trials", int, location)
+    if trials > experiments.MAX_TRIALS:
+        raise ConfigError(f"trials exceeds the limit of {experiments.MAX_TRIALS}", f"{location}.trials")
+    return trials
+
+
 def _build_transmission(params: dict, seed: int) -> experiments.TransmissionConfig:
     loc = "params"
     try:
@@ -117,7 +124,7 @@ def _build_transmission(params: dict, seed: int) -> experiments.TransmissionConf
             j=_coupling(params, loc),
             total_time=_require(params, "total_time", float, loc),
             noise_start=_require(params, "noise_start", float, loc),
-            trials=_require(params, "trials", int, loc),
+            trials=_trials(params, loc),
             seed=seed,
             bang_bang=_optional(params, "bang_bang", bool, False, loc),
             pulse_spacing=_optional(params, "pulse_spacing", float, None, loc),
@@ -176,7 +183,7 @@ def _build_memory(params: dict, seed: int, spread: float) -> experiments.MemoryC
             mean_interval=mean_interval,
             interval_spread=spread,
             observation_times=_observation_times(params, mean_interval, loc),
-            trials=_require(params, "trials", int, loc),
+            trials=_trials(params, loc),
             seed=seed,
             bang_bang=_optional(params, "bang_bang", bool, False, loc),
             pulse_spacing=_optional(params, "pulse_spacing", float, None, loc),

@@ -42,10 +42,16 @@ MAX_INTERVAL_REJECTIONS = 100
 # Most events (toggles and pulses) one trial may have; bounds what a config
 # can ask the kernel to hold.  The sample configs need under 200.
 MAX_TRIAL_EVENTS = 100_000
+# Most trials one run may have; also keeps the trial index k to the one
+# 32-bit entropy word that `_trial_streams` derives streams for.
+MAX_TRIALS = 10_000_000
 # Standard normals drawn at a time for the intervals of one memory trial.
 _DRAW_BLOCK = 32
 # Trials per call of the phase-walk kernel; bounds its temporary arrays.
 _CHUNK_TRIALS = 32
+# Trials whose random streams are derived at a time; bounds the derivation's
+# arrays.
+_STREAM_BLOCK = 4096
 
 PI = math.pi
 
@@ -90,8 +96,7 @@ class TransmissionConfig:
             raise ValueError("need 0 < noise_start < total_time")
         if self.noise_start + 2 * PI / self.j > self.total_time + 1e-12:
             raise ValueError("noise window (one coupling period) must fit before total_time")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        _check_trials(self.trials)
         if self.group_size < 1:
             raise ValueError("group_size must be at least 1")
         if self.seed < 0:
@@ -187,14 +192,20 @@ class MemoryConfig:
                     f"observation time {t:.12g} is not a multiple of one toggle cycle {cycle:.12g}"
                 )
             prev = t
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        _check_trials(self.trials)
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
     def cycle_counts(self) -> tuple[int, ...]:
         cycle = 2.0 * self.mean_interval
         return tuple(int(round(t / cycle)) for t in self.observation_times)
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials exceeds the limit of {MAX_TRIALS}")
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +450,135 @@ def memory_trial_schedule(config: MemoryConfig, intervals: np.ndarray) -> tuple[
 
 
 # ---------------------------------------------------------------------------
+# per-trial random streams
+# ---------------------------------------------------------------------------
+#
+# Trial k draws from np.random.default_rng((seed, k)): a PCG64 generator
+# seeded by SeedSequence((seed, k)).  Building one Generator per trial costs
+# more than the rest of a transmission trial, so the (state, inc) each such
+# generator starts from is derived here for a whole block of trials at once,
+# following numpy/random/bit_generator.pyx and pcg64.h step for step.  NEP 19
+# keeps both the SeedSequence and the PCG64 streams stable across numpy
+# versions; the tests check the derivation against default_rng.
+
+_MASK32 = 0xFFFFFFFF
+# SeedSequence hash constants
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+# PCG64 multiplier, as 64-bit halves and as the 32-bit limbs of its low half
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (2**64 - 1))
+_PCG_MULT_LO_LIMBS = np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 32 & _MASK32)
+
+
+def _hash_constants(init: int, mult: int):
+    """Successive ``(xor, mult)`` pairs of a SeedSequence hash.
+
+    The running hash constant starts at ``init`` and is multiplied by
+    ``mult`` at every use, whatever the data: each use XORs with the
+    constant, advances it, then multiplies by the advanced one.
+    """
+    while True:
+        advanced = (init * mult) & _MASK32
+        yield np.uint32(init), np.uint32(advanced)
+        init = advanced
+
+
+def _hash(values: np.ndarray, constants) -> np.ndarray:
+    xor, mult = next(constants)
+    values = (values ^ xor) * mult
+    return values ^ (values >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _mul_pcg(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(hi, lo)`` times the PCG64 multiplier, modulo 2**128.
+
+    uint64 products wrap modulo 2**64; the carry out of ``lo * mult_lo``
+    comes from 32-bit limbs, whose products fit in 64 bits.
+    """
+    mask = np.uint64(_MASK32)
+    b0, b1 = _PCG_MULT_LO_LIMBS
+    a0, a1 = lo & mask, lo >> np.uint64(32)
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> np.uint64(32)) + (p01 & mask) + (p10 & mask)
+    carry = a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
+    return carry + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO, lo * _PCG_MULT_LO
+
+
+def _add128(a_hi: np.ndarray, a_lo: np.ndarray, b_hi: np.ndarray,
+            b_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(a_hi, a_lo) + (b_hi, b_lo)`` modulo 2**128."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _trial_streams(seed: int, start: int, stop: int) -> tuple[np.ndarray, ...]:
+    """PCG64 ``(state_hi, state_lo, inc_hi, inc_lo)`` of the trials ``start <= k < stop``.
+
+    Equal to the 128-bit ``state`` and ``inc`` of
+    ``np.random.default_rng((seed, k)).bit_generator``, as uint64 arrays.
+    """
+    assert 0 <= start <= stop <= _MASK32 + 1   # k is one 32-bit entropy word
+    trial = np.arange(start, stop, dtype=np.uint32)
+    # the entropy words: seed in 32-bit words, least significant first, then k
+    entropy = []
+    while True:
+        entropy.append(np.full_like(trial, seed & _MASK32))
+        seed >>= 32
+        if not seed:
+            break
+    entropy.append(trial)
+    # SeedSequence: mix the entropy into a pool of four words
+    hash_a = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hash(entropy[i] if i < len(entropy) else np.zeros_like(trial), hash_a)
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], hash_a))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hash(word, hash_a))
+    # generate_state(4, np.uint64): eight words, paired little-endian
+    hash_b = _hash_constants(_INIT_B, _MULT_B)
+    words = [_hash(pool[i % _POOL_SIZE], hash_b).astype(np.uint64) for i in range(8)]
+    seed_hi, seed_lo, seq_hi, seq_lo = (
+        words[i] | (words[i + 1] << np.uint64(32)) for i in range(0, 8, 2))
+    # PCG64 seeding: inc = seq << 1 | 1, state = (inc + seed) * mult + inc
+    inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
+    inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
+    state = _add128(*_mul_pcg(*_add128(inc_hi, inc_lo, seed_hi, seed_lo)), inc_hi, inc_lo)
+    return *state, inc_hi, inc_lo
+
+
+def _next_doubles(state_hi, state_lo, inc_hi, inc_lo) -> tuple[np.ndarray, ...]:
+    """One step of each PCG64 stream: the advanced streams and the doubles in
+    [0, 1) that ``Generator.random`` returns for that step."""
+    hi, lo = _add128(*_mul_pcg(state_hi, state_lo), inc_hi, inc_lo)
+    # XSL-RR output: the XOR of both halves, rotated right by the top six bits
+    folded, rot = hi ^ lo, hi >> np.uint64(58)
+    out = (folded >> rot) | (folded << ((np.uint64(64) - rot) & np.uint64(63)))
+    return (hi, lo, inc_hi, inc_lo), (out >> np.uint64(11)) * 2.0**-53
+
+
+def _trial_states(seed: int, trials: int):
+    """``bit_generator.state`` of ``default_rng((seed, k))`` for k = 0, 1, ... in turn."""
+    for block in _blocks(trials, _STREAM_BLOCK):
+        streams = (a.tolist() for a in _trial_streams(seed, block.start, block.stop))
+        for state_hi, state_lo, inc_hi, inc_lo in zip(*streams):
+            yield {"bit_generator": "PCG64",
+                   "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+                   "has_uint32": 0, "uinteger": 0}
+
+
+# ---------------------------------------------------------------------------
 # experiment drivers
 # ---------------------------------------------------------------------------
 
@@ -447,33 +587,45 @@ def _group_averages(amps: np.ndarray, group_size: int) -> np.ndarray:
     return np.add.reduceat(amps, starts) / np.diff(starts, append=len(amps))
 
 
-def _trial_chunks(trials: int):
-    for first in range(0, trials, _CHUNK_TRIALS):
-        yield range(first, min(first + _CHUNK_TRIALS, trials))
+def _blocks(trials: int, size: int):
+    for first in range(0, trials, size):
+        yield range(first, min(first + size, trials))
+
+
+def _transmission_draws(config: TransmissionConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Window lengths and train offsets of the trials ``start <= k < stop``.
+
+    Trial k's stream ``rng = default_rng((config.seed, k))`` gives the window
+    ``rng.uniform(0, period)`` and, with a random train phase, then the offset
+    ``rng.uniform(0, pulse_spacing)``; the offset is 0 otherwise.  Both are
+    computed as numpy does, ``low + (high - low) * rng.random()``.
+    """
+    streams, doubles = _next_doubles(*_trial_streams(config.seed, start, stop))
+    windows = 0.0 + (2 * PI / config.j) * doubles
+    offsets = np.zeros(stop - start)
+    if config.bang_bang and config.random_train_phase:
+        offsets = 0.0 + config.pulse_spacing * _next_doubles(*streams)[1]
+    return windows, offsets
 
 
 def run_transmission(config: TransmissionConfig) -> EnsembleResult:
     """Monte Carlo ensemble of single noise-window trials."""
-    period = 2 * PI / config.j
     steps = signs = np.empty(0)
     if config.bang_bang:
         n_pulses = config.pulse_count()
         steps = np.arange(n_pulses) * config.pulse_spacing
         signs = pi_pulse_signs(cyclic_axes(n_pulses))
-    random_phase = config.bang_bang and config.random_train_phase
     amps = np.empty(config.trials, dtype=complex)
-    for chunk in _trial_chunks(config.trials):
-        draws = np.zeros((len(chunk), 2))   # window length, train offset
-        for row, k in zip(draws, chunk):
-            rng = np.random.default_rng((config.seed, k))
-            row[0] = rng.uniform(0.0, period)
-            if random_phase:
-                row[1] = rng.uniform(0.0, config.pulse_spacing)
-        toggles = np.stack((np.full(len(chunk), config.noise_start),
-                            config.noise_start + draws[:, 0]), axis=1)
-        pulses = (config.noise_start + draws[:, 1])[:, None] + steps
-        snapshots = np.full((len(chunk), 1), config.total_time)
-        amps[chunk.start:chunk.stop] = phase_walk(config.j, toggles, pulses, signs, snapshots)[:, 0]
+    for block in _blocks(config.trials, _STREAM_BLOCK):
+        windows, offsets = _transmission_draws(config, block.start, block.stop)
+        block_amps = amps[block.start:block.stop]
+        for chunk in _blocks(len(block), _CHUNK_TRIALS):
+            rows = slice(chunk.start, chunk.stop)
+            toggles = np.stack((np.full(len(chunk), config.noise_start),
+                                config.noise_start + windows[rows]), axis=1)
+            pulses = (config.noise_start + offsets[rows])[:, None] + steps
+            snapshots = np.full((len(chunk), 1), config.total_time)
+            block_amps[rows] = phase_walk(config.j, toggles, pulses, signs, snapshots)[:, 0]
     if config.remove_trivial_phase:
         amps *= np.exp(-0.5j * config.j * config.total_time)
     return EnsembleResult(
@@ -527,6 +679,8 @@ def _draw_intervals(rng, mean: float, spread: float, count: int | None = None,
 def run_memory(config: MemoryConfig) -> DecayCurve:
     """Ensemble decay curve of the repeated-toggling experiment."""
     times = np.asarray(config.observation_times, dtype=float)
+    if len(times) < 3:
+        raise ValueError("the decay fit needs at least 3 observation times")
     horizon = times[-1]
     train = signs = np.empty(0)
     count = None
@@ -536,13 +690,17 @@ def run_memory(config: MemoryConfig) -> DecayCurve:
     else:
         count = 2 * max(config.cycle_counts())
         snapshot_flips = np.array(config.cycle_counts()) * 2 - 1
+    # one generator, its state replaced by trial k's stream before k's draws
+    bit_generator = np.random.PCG64()
+    rng = np.random.Generator(bit_generator)
+    states = _trial_states(config.seed, config.trials)
     acc = np.zeros(len(times), dtype=complex)
-    for chunk in _trial_chunks(config.trials):
-        intervals = [
-            _draw_intervals(np.random.default_rng((config.seed, k)), config.mean_interval,
-                            config.interval_spread, count, horizon)
-            for k in chunk
-        ]
+    for chunk in _blocks(config.trials, _CHUNK_TRIALS):
+        intervals = []
+        for _ in chunk:
+            bit_generator.state = next(states)
+            intervals.append(_draw_intervals(rng, config.mean_interval, config.interval_spread,
+                                             count, horizon))
         # zero intervals pad short rows with repeats of their last flip, which
         # with the pulse train lies past the horizon
         toggles = np.zeros((len(chunk), max(map(len, intervals))))

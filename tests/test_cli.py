@@ -282,6 +282,14 @@ def test_fewer_than_three_observation_times_is_a_config_error(tmp_path, capsys):
     _config_error(tmp_path, capsys, doc, "at least 3", "(at params.observation_times.max_time)")
 
 
+@pytest.mark.parametrize("experiment", ["transmission", "memory"])
+def test_trials_over_the_limit_are_config_errors(tmp_path, capsys, experiment):
+    """A trillion trials used to end in a MemoryError traceback."""
+    doc = memory_doc() if experiment == "memory" else transmission_doc()
+    doc["params"]["trials"] = 1_000_000_000_000
+    _config_error(tmp_path, capsys, doc, "10000000", "(at params.trials)")
+
+
 @pytest.mark.parametrize("experiment, params, where", [
     ("memory", {"observation_times": [4e-3, 8e-3, 1e9]}, "(at params)"),
     ("memory", {"observation_times": {"max_time": 1e12}}, "(at params.observation_times.max_time)"),

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dephasim import (
     MemoryConfig,
@@ -25,7 +26,16 @@ from dephasim import (
     transmission_schedule,
     transverse_amplitude,
 )
-from dephasim.experiments import MAX_INTERVAL_REJECTIONS, _draw_intervals
+from dephasim import experiments
+from dephasim.experiments import (
+    MAX_INTERVAL_REJECTIONS,
+    MAX_TRIALS,
+    _STREAM_BLOCK,
+    _draw_intervals,
+    _transmission_draws,
+    _trial_states,
+    _trial_streams,
+)
 
 from helpers import J_REF, rho_00, window_schedule
 
@@ -158,6 +168,9 @@ def test_transmission_config_validation():
         base_transmission(pulses_per_trial=16)
     with pytest.raises(ValueError, match="trials"):
         base_transmission(trials=0)
+    with pytest.raises(ValueError, match="limit"):
+        base_transmission(trials=MAX_TRIALS + 1)
+    assert base_transmission(trials=MAX_TRIALS).trials == MAX_TRIALS
     with pytest.raises(ValueError, match="seed"):
         base_transmission(seed=-1)
 
@@ -280,6 +293,8 @@ def test_memory_config_validation():
         base_memory(pulse_spacing=0.5e-3)
     with pytest.raises(ValueError, match="pulse_spacing"):
         base_memory(bang_bang=True)
+    with pytest.raises(ValueError, match="limit"):
+        base_memory(trials=MAX_TRIALS + 1)
     assert base_memory().cycle_counts() == (1, 2, 3, 4, 5)
 
 
@@ -417,20 +432,41 @@ def _oracle_memory_magnitudes(config):
     return np.abs(acc / config.trials)
 
 
+def _default_rng_states(seed, trials):
+    for k in range(trials):
+        yield np.random.default_rng((seed, k)).bit_generator.state
+
+
 @pytest.mark.parametrize("overrides", [
     {},
     {"interval_spread": 0.1, "trials": 40},
     {"bang_bang": True, "pulse_spacing": 0.5e-3},
     {"bang_bang": True, "pulse_spacing": 1e-4, "observation_times": (4e-3, 12e-3, 60e-3)},
 ])
-def test_run_memory_matches_the_schedule_oracle(overrides):
+def test_run_memory_matches_the_schedule_oracle(overrides, monkeypatch):
     """The batched walk against memory_trial_schedule + simulate_amplitudes,
-    on the same (seed, k) streams drawn one normal at a time."""
+    on the same (seed, k) streams drawn one normal at a time.  The walk's
+    arithmetic differs from the oracle's in the last digits; the streams
+    must not differ at all, so the run equals, bit for bit, the run on
+    numpy's own per-trial generators."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         config = base_memory(**overrides)
     curve = run_memory(config)
     assert np.max(np.abs(curve.magnitudes - _oracle_memory_magnitudes(config))) < 1e-12
+    monkeypatch.setattr(experiments, "_trial_states", _default_rng_states)
+    assert np.array_equal(run_memory(config).magnitudes, curve.magnitudes)
+
+
+def test_run_memory_needs_three_times_before_drawing(monkeypatch):
+    """The decay fit needs three points; a shorter run fails before any trial."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(experiments, "_draw_intervals", no_draws)
+    for times in ((4e-3,), (4e-3, 8e-3)):
+        with pytest.raises(ValueError, match="at least 3"):
+            run_memory(base_memory(observation_times=times))
 
 
 @pytest.mark.parametrize("overrides", [
@@ -439,7 +475,9 @@ def test_run_memory_matches_the_schedule_oracle(overrides):
     {"total_time": 9e-3, "bang_bang": True, "pulse_spacing": 0.3e-3, "random_train_phase": True},
     {"remove_trivial_phase": False},
 ])
-def test_run_transmission_matches_the_schedule_oracle(overrides):
+def test_run_transmission_matches_the_schedule_oracle(overrides, monkeypatch):
+    """As for memory: within 1e-12 of the oracle, and bit for bit the run on
+    numpy's own per-trial draws."""
     config = base_transmission(**overrides)
     result = run_transmission(config)
     trivial = np.exp(-0.5j * J_REF * config.total_time) if config.remove_trivial_phase else 1.0
@@ -450,6 +488,76 @@ def test_run_transmission_matches_the_schedule_oracle(overrides):
         schedule = transmission_schedule(config, delta, offset)
         expected = simulate_amplitudes(schedule, [config.total_time])[0] * trivial
         assert abs(amp - expected) < 1e-12
+    monkeypatch.setattr(experiments, "_transmission_draws",
+                        lambda config, start, stop: _uniform_draws(config, range(start, stop)))
+    assert np.array_equal(run_transmission(config).amplitudes, result.amplitudes)
+
+
+# ---------------------------------------------------------------------------
+# per-trial random streams
+# ---------------------------------------------------------------------------
+
+def _default_rng_stream(seed, k):
+    state = np.random.default_rng((seed, k)).bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+def _as_ints(streams):
+    state_hi, state_lo, inc_hi, inc_lo = (a.tolist() for a in streams)
+    return [(sh << 64 | sl, ih << 64 | il)
+            for sh, sl, ih, il in zip(state_hi, state_lo, inc_hi, inc_lo)]
+
+
+def _uniform_draws(config, trials):
+    """Window lengths and train offsets drawn by numpy, one generator a trial."""
+    windows, offsets = [], []
+    for k in trials:
+        rng = np.random.default_rng((config.seed, k))
+        windows.append(rng.uniform(0.0, 2 * PI / config.j))
+        offsets.append(rng.uniform(0.0, config.pulse_spacing) if config.random_train_phase else 0.0)
+    return np.array(windows), np.array(offsets)
+
+
+# one to six entropy words: 2**128 + 7 has five seed words, so with k six,
+# which runs SeedSequence's mixing loop for words past its pool of four
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 7]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_trial_streams_equal_default_rng(seed):
+    for start in (0, 2**32 - 64):
+        expected = [_default_rng_stream(seed, k) for k in range(start, start + 64)]
+        assert _as_ints(_trial_streams(seed, start, start + 64)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.one_of(st.sampled_from(STREAM_SEEDS), st.integers(0, 2**200)),
+       k=st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1)))
+def test_trial_streams_equal_default_rng_at_random(seed, k):
+    assert _as_ints(_trial_streams(seed, k, k + 1)) == [_default_rng_stream(seed, k)]
+
+
+def test_trial_states_run_across_stream_blocks():
+    trials = _STREAM_BLOCK + 5
+    states = list(_trial_states(3, trials))
+    assert states == list(_default_rng_states(3, trials))
+    # a generator set to a derived state draws what default_rng draws
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = states[-1]
+    assert np.array_equal(rng.standard_normal(40),
+                          np.random.default_rng((3, trials - 1)).standard_normal(40))
+
+
+@pytest.mark.parametrize("random_phase", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3, 2**128 + 7])
+def test_transmission_draws_equal_per_trial_uniforms(seed, random_phase):
+    config = base_transmission(seed=seed, total_time=9e-3, bang_bang=True, pulse_spacing=0.3e-3,
+                               random_train_phase=random_phase)
+    for trials in (range(0, 2000), range(4090, 4100)):
+        windows, offsets = _transmission_draws(config, trials.start, trials.stop)
+        expected_windows, expected_offsets = _uniform_draws(config, trials)
+        assert np.array_equal(windows, expected_windows)
+        assert np.array_equal(offsets, expected_offsets)
 
 
 @pytest.mark.parametrize("spacing", [1e-5, 2e-5, 5e-5, 1e-4, 2e-4])
