@@ -55,6 +55,7 @@ from .pulse import (
     phase_shift,
     phase_walk,
     pi_pulse_signs,
+    rotating_frame_check,
     rotating_frame_residual,
     rotation_pulse,
     simulate_amplitudes,
@@ -65,7 +66,6 @@ from .experiments import (
     EnsembleResult,
     ExponentialFit,
     MemoryConfig,
-    SimulationError,
     TransmissionConfig,
     bang_bang_dephasing_time,
     bang_bang_retention,

@@ -19,9 +19,12 @@ remove_trivial_phase.  memory params: j_hz, mean_interval, interval_spread
 (number or list; one run and one CSV per value), observation_times (three or
 more: a list of seconds, or {"max_time": t} for the grid of toggle cycles),
 trials, and optionally bang_bang with pulse_spacing.  Frequencies enter as cyclic
-j_hz and are converted to rad/s internally.  Times are seconds.
+j_hz and are converted to rad/s internally.  Times are seconds.  Any other
+params key is a config error; an option that is missing or null keeps the
+library default.
 
-Exit codes: 0 success, 1 config error, 2 runtime/simulation error.
+Exit codes: 0 success, 1 config error, 2 runtime error (such as an unwritable
+output directory) or a failed verify check.
 Identical config and seed produce byte-identical outputs.
 """
 from __future__ import annotations
@@ -94,10 +97,11 @@ def _require(params, key, kind, location: str):
     raise ConfigError(f"'{key}' must be of type {kind.__name__}", where)
 
 
-def _optional(params: dict, key: str, kind, default, location: str):
-    if key not in params or params[key] is None:
-        return default
-    return _require(params, key, kind, location)
+def _options(params: dict, kinds: dict, location: str) -> dict:
+    """The optional ``params`` that are set (present and not null), checked
+    against their ``kinds``; unset ones keep the config's defaults."""
+    return {key: _require(params, key, kind, location)
+            for key, kind in kinds.items() if params.get(key) is not None}
 
 
 def _positive(value: float, key: str, location: str) -> float:
@@ -117,6 +121,21 @@ def _trials(params: dict, location: str) -> int:
     return trials
 
 
+_TRANSMISSION_OPTIONS = {"bang_bang": bool, "pulse_spacing": float, "pulses_per_trial": int,
+                         "random_train_phase": bool, "group_size": int, "remove_trivial_phase": bool}
+_MEMORY_OPTIONS = {"bang_bang": bool, "pulse_spacing": float}
+_VERIFY_OPTIONS = {"omega_2_hz": float, "j_hz": float, "t": float}
+
+# the keys each experiment reads from params; any other key is refused
+_PARAM_KEYS = {
+    "transmission": {"j_hz", "total_time", "noise_start", "trials", *_TRANSMISSION_OPTIONS},
+    "memory": {"j_hz", "mean_interval", "interval_spread", "observation_times", "trials",
+               *_MEMORY_OPTIONS},
+    "channel-demo": {"flip_probabilities"},
+    "verify": set(_VERIFY_OPTIONS),
+}
+
+
 def _build_transmission(params: dict, seed: int) -> experiments.TransmissionConfig:
     loc = "params"
     try:
@@ -126,12 +145,7 @@ def _build_transmission(params: dict, seed: int) -> experiments.TransmissionConf
             noise_start=_require(params, "noise_start", float, loc),
             trials=_trials(params, loc),
             seed=seed,
-            bang_bang=_optional(params, "bang_bang", bool, False, loc),
-            pulse_spacing=_optional(params, "pulse_spacing", float, None, loc),
-            pulses_per_trial=_optional(params, "pulses_per_trial", int, None, loc),
-            random_train_phase=_optional(params, "random_train_phase", bool, False, loc),
-            group_size=_optional(params, "group_size", int, 16, loc),
-            remove_trivial_phase=_optional(params, "remove_trivial_phase", bool, True, loc),
+            **_options(params, _TRANSMISSION_OPTIONS, loc),
         )
     except ValueError as exc:
         raise ConfigError(str(exc), loc)
@@ -185,8 +199,7 @@ def _build_memory(params: dict, seed: int, spread: float) -> experiments.MemoryC
             observation_times=_observation_times(params, mean_interval, loc),
             trials=_trials(params, loc),
             seed=seed,
-            bang_bang=_optional(params, "bang_bang", bool, False, loc),
-            pulse_spacing=_optional(params, "pulse_spacing", float, None, loc),
+            **_options(params, _MEMORY_OPTIONS, loc),
         )
     except ValueError as exc:
         raise ConfigError(str(exc), loc)
@@ -330,25 +343,18 @@ def _run_channel_demo(params: dict, out: Path) -> None:
 
 def _run_verify(params: dict, out: Path) -> int:
     loc = "params"
-    omega_2 = TWO_PI * _positive(_optional(params, "omega_2_hz", float, 500.0, loc), "omega_2_hz", loc)
+    values = {"omega_2_hz": 500.0, "j_hz": 215.5, "t": 1e-3} | _options(params, _VERIFY_OPTIONS, loc)
+    omega_2 = TWO_PI * _positive(values["omega_2_hz"], "omega_2_hz", loc)
     omega_1 = omega_2 / 4.0
-    j = TWO_PI * _positive(_optional(params, "j_hz", float, 215.5, loc), "j_hz", loc)
-    lab = pulse.LabFrameParams(omega_1, omega_2, j)
-    h_norm = float(np.linalg.norm(pulse.lab_frame_hamiltonian(lab)))
-    t = _optional(params, "t", float, 1e-3, loc)
+    j = TWO_PI * _positive(values["j_hz"], "j_hz", loc)
+    frame = pulse.rotating_frame_check(pulse.LabFrameParams(omega_1, omega_2, j), values["t"])
 
     lines = ["rotating-frame check: residual of R H R† + i (dR/dt) R† minus the pure coupling", ""]
-    residuals = []
-    for dt in (1e-6, 5e-7, 2.5e-7, 1e-7):
-        res = pulse.rotating_frame_residual(lab, t, dt)
-        residuals.append(res)
-        lines.append(f"  dt = {dt:.2e} s   residual = {res:.6e}")
-    # a residual of 0 (frequencies too small to resolve) leaves no ratio
-    ratios = [a / b if b else math.nan for a, b in zip(residuals[:2], residuals[1:3])]
-    frame_ok = residuals[-1] < 1e-3 * h_norm and all(3.0 < r < 5.0 for r in ratios)
-    shown = ", ".join("n/a" if math.isnan(r) else f"{r:.2f}" for r in ratios)
+    lines += [f"  dt = {dt:.2e} s   residual = {res:.6e}"
+              for dt, res in zip(pulse.FRAME_CHECK_STEPS, frame.residuals)]
+    shown = ", ".join("n/a" if math.isnan(r) else f"{r:.2f}" for r in frame.ratios)
     lines.append(f"  quadratic shrink ratios: {shown} (expect ~4)")
-    lines.append(f"  final residual vs 1e-3 * |H| = {1e-3 * h_norm:.3e}: {'ok' if frame_ok else 'FAIL'}")
+    lines.append(f"  final residual vs 1e-3 * |H| = {frame.bound:.3e}: {'ok' if frame.passed else 'FAIL'}")
 
     lines.append("")
     lines.append("channel equivalence: dilations vs operator form")
@@ -361,7 +367,7 @@ def _run_verify(params: dict, out: Path) -> int:
         channel_ok = channel_ok and ok
         lines.append(f"  p = {p:4.2f}: max map deviation = {dev:.3e} {'ok' if ok else 'FAIL'}")
 
-    passed = frame_ok and channel_ok
+    passed = frame.passed and channel_ok
     lines.append("")
     lines.append("verify: " + ("all checks passed" if passed else "CHECKS FAILED"))
     _report(out / "report.txt", lines)
@@ -374,14 +380,14 @@ def _run_verify(params: dict, out: Path) -> int:
 
 def run(doc: dict, seed_override: int | None = None, out_override: str | None = None) -> int:
     experiment = doc.get("experiment")
-    if experiment not in ("transmission", "memory", "channel-demo", "verify"):
-        raise ConfigError(
-            "experiment must be one of: transmission, memory, channel-demo, verify",
-            "experiment",
-        )
+    if not isinstance(experiment, str) or experiment not in _PARAM_KEYS:
+        raise ConfigError(f"experiment must be one of: {', '.join(_PARAM_KEYS)}", "experiment")
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object", "params")
+    for key in params:
+        if key not in _PARAM_KEYS[experiment]:
+            raise ConfigError(f"unknown key '{key}'", f"params.{key}")
 
     out = Path(out_override if out_override is not None else doc.get("out_dir", "."))
     out.mkdir(parents=True, exist_ok=True)
@@ -417,7 +423,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (experiments.SimulationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

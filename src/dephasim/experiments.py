@@ -37,8 +37,6 @@ from .pulse import (
 # Points at or below this magnitude are ignored by the exponential fit;
 # they are dominated by Monte Carlo noise.
 FIT_FLOOR = 0.02
-# Consecutive non-positive interval draws before the run is abandoned.
-MAX_INTERVAL_REJECTIONS = 100
 # Most events (toggles and pulses) one trial may have; bounds what a config
 # can ask the kernel to hold.  The sample configs need under 200.
 MAX_TRIAL_EVENTS = 100_000
@@ -54,10 +52,6 @@ _CHUNK_TRIALS = 32
 _STREAM_BLOCK = 4096
 
 PI = math.pi
-
-
-class SimulationError(RuntimeError):
-    """A Monte Carlo run could not be completed."""
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +84,8 @@ class TransmissionConfig:
     remove_trivial_phase: bool = True
 
     def __post_init__(self):
+        _check_finite(j=self.j, total_time=self.total_time, noise_start=self.noise_start,
+                      pulse_spacing=self.pulse_spacing)
         if not self.j > 0:
             raise ValueError("coupling j must be positive")
         if not 0 < self.noise_start < self.total_time:
@@ -156,14 +152,17 @@ class MemoryConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "observation_times", tuple(float(t) for t in self.observation_times))
+        _check_finite(j=self.j, mean_interval=self.mean_interval, interval_spread=self.interval_spread,
+                      pulse_spacing=self.pulse_spacing, observation_times=self.observation_times)
         if not self.j > 0:
             raise ValueError("coupling j must be positive")
         if not self.mean_interval > 0:
             raise ValueError("mean_interval must be positive")
         if not 0.0 <= self.interval_spread <= 0.25:
             raise ValueError("interval_spread must lie in [0, 0.25]")
-        if len(self.observation_times) == 0:
-            raise ValueError("need at least one observation time")
+        # the exponential fit of the decay needs three points
+        if len(self.observation_times) < 3:
+            raise ValueError("need at least 3 observation times")
         if self.bang_bang:
             if self.pulse_spacing is None or not self.pulse_spacing > 0:
                 raise ValueError("bang_bang requires a positive pulse_spacing")
@@ -199,6 +198,14 @@ class MemoryConfig:
     def cycle_counts(self) -> tuple[int, ...]:
         cycle = 2.0 * self.mean_interval
         return tuple(int(round(t / cycle)) for t in self.observation_times)
+
+
+def _check_finite(**values) -> None:
+    """Refuse NaN and infinities; a tuple is checked entry by entry, None passes."""
+    for name, value in values.items():
+        entries = () if value is None else value if isinstance(value, tuple) else (value,)
+        if not all(map(math.isfinite, entries)):
+            raise ValueError(f"{name} must be finite")
 
 
 def _check_trials(trials: int) -> None:
@@ -645,33 +652,19 @@ def _draw_intervals(rng, mean: float, spread: float, count: int | None = None,
     ``horizon``.  Normals come in whole blocks of ``_DRAW_BLOCK``, enough
     for ``count`` at first, then one block at a time.  A non-positive value
     costs exactly the one normal it came from, so these are the intervals
-    that drawing and resampling one value at a time gives.  A run of
-    ``MAX_INTERVAL_REJECTIONS`` non-positive values before the last
-    interval needed abandons the run.
+    that drawing and resampling one value at a time gives.  Resampling needs
+    no limit: ``MemoryConfig`` keeps the spread at most 0.25, where a value
+    is non-positive only for ``xi <= -4``, about one draw in 30,000.
     """
-    values = np.empty(0)
+    intervals = np.empty(0)
     size = _DRAW_BLOCK * max(1, -(-(count or 0) // _DRAW_BLOCK))
     while True:
-        values = np.concatenate((values, mean * (1.0 + spread * rng.standard_normal(size))))
-        positive = values > 0.0
-        intervals = values[positive]
-        if count is None:
-            # running sums in drawing order, as when adding one interval at a time
-            need = int(intervals.cumsum().searchsorted(horizon, side="right")) + 1
-        else:
-            need = count
-        enough = need <= len(intervals)
-        if len(intervals) < len(values):
-            # positions of the positive values needed; while short, the end
-            marks = np.flatnonzero(positive)[:need]
-            if not enough:
-                marks = np.append(marks, len(values))
-            if np.diff(marks, prepend=-1).max() > MAX_INTERVAL_REJECTIONS:
-                raise SimulationError(
-                    f"{MAX_INTERVAL_REJECTIONS} consecutive non-positive intervals; "
-                    "interval distribution is unusable"
-                )
-        if enough:
+        values = mean * (1.0 + spread * rng.standard_normal(size))
+        intervals = np.concatenate((intervals, values[values > 0.0]))
+        # running sums in drawing order, as when adding one interval at a time
+        need = count if count is not None else int(
+            intervals.cumsum().searchsorted(horizon, side="right")) + 1
+        if need <= len(intervals):
             return intervals[:need]
         size = _DRAW_BLOCK
 
@@ -679,8 +672,6 @@ def _draw_intervals(rng, mean: float, spread: float, count: int | None = None,
 def run_memory(config: MemoryConfig) -> DecayCurve:
     """Ensemble decay curve of the repeated-toggling experiment."""
     times = np.asarray(config.observation_times, dtype=float)
-    if len(times) < 3:
-        raise ValueError("the decay fit needs at least 3 observation times")
     horizon = times[-1]
     train = signs = np.empty(0)
     count = None

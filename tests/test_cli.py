@@ -65,6 +65,8 @@ def test_non_object_config_rejected(tmp_path):
 def test_unknown_experiment_rejected():
     with pytest.raises(ConfigError, match="experiment"):
         run({"experiment": "tomography"})
+    with pytest.raises(ConfigError, match="experiment"):
+        run({"experiment": ["memory"]})
 
 
 def test_monte_carlo_requires_seed(tmp_path, capsys):
@@ -280,6 +282,17 @@ def test_fewer_than_three_observation_times_is_a_config_error(tmp_path, capsys):
     _config_error(tmp_path, capsys, doc, "at least 3", "(at params.observation_times)")
     doc["params"]["observation_times"] = {"max_time": 8e-3}
     _config_error(tmp_path, capsys, doc, "at least 3", "(at params.observation_times.max_time)")
+
+
+@pytest.mark.parametrize("experiment", ["transmission", "memory", "channel-demo", "verify"])
+def test_unknown_params_keys_are_config_errors(tmp_path, capsys, experiment):
+    """A misspelt key used to be ignored: transmission with random_train_phse
+    ran the locked train and exited 0."""
+    docs = {"transmission": transmission_doc, "memory": memory_doc}
+    doc = docs[experiment]() if experiment in docs else {"experiment": experiment, "params": {}}
+    doc["params"]["random_train_phse"] = True
+    _config_error(tmp_path, capsys, doc, "unknown key", "(at params.random_train_phse)")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("experiment", ["transmission", "memory"])
