@@ -13,6 +13,9 @@ The config is a single JSON document::
       "params": { ... }         // experiment-specific, see below
     }
 
+Any other top-level key, or an out_dir that is not a string, is a config
+error.
+
 transmission params: j_hz, total_time, noise_start, trials, and optionally
 bang_bang, pulse_spacing, pulses_per_trial, random_train_phase, group_size,
 remove_trivial_phase.  memory params: j_hz, mean_interval, interval_spread
@@ -126,7 +129,9 @@ _TRANSMISSION_OPTIONS = {"bang_bang": bool, "pulse_spacing": float, "pulses_per_
 _MEMORY_OPTIONS = {"bang_bang": bool, "pulse_spacing": float}
 _VERIFY_OPTIONS = {"omega_2_hz": float, "j_hz": float, "t": float}
 
-# the keys each experiment reads from params; any other key is refused
+# the keys of the config document and those each experiment reads from
+# params; any other key is refused
+_TOP_KEYS = {"experiment", "seed", "out_dir", "params"}
 _PARAM_KEYS = {
     "transmission": {"j_hz", "total_time", "noise_start", "trials", *_TRANSMISSION_OPTIONS},
     "memory": {"j_hz", "mean_interval", "interval_spread", "observation_times", "trials",
@@ -238,11 +243,14 @@ def _pct(simulated: float, predicted: float) -> str:
 def _run_transmission(params: dict, seed: int, out: Path) -> None:
     config = _build_transmission(params, seed)
     result = experiments.run_transmission(config)
+    amps, groups = result.amplitudes, result.group_averages
+    # formatted from Python floats, which is faster than from numpy scalars
     _write_csv(out / "amplitudes.csv", "trial,amplitude_re,amplitude_im", [
-        f"{k},{_fmt(a.real)},{_fmt(a.imag)}" for k, a in enumerate(result.amplitudes)
+        f"{k},{_fmt(re)},{_fmt(im)}" for k, (re, im) in enumerate(zip(amps.real.tolist(), amps.imag.tolist()))
     ])
     _write_csv(out / "group_averages.csv", "group,amplitude_re,amplitude_im,magnitude", [
-        f"{k},{_fmt(a.real)},{_fmt(a.imag)},{_fmt(abs(a))}" for k, a in enumerate(result.group_averages)
+        f"{k},{_fmt(re)},{_fmt(im)},{_fmt(mag)}" for k, (re, im, mag) in enumerate(
+            zip(groups.real.tolist(), groups.imag.tolist(), np.abs(groups).tolist()))
     ])
 
     magnitude = abs(result.grand_average)
@@ -279,8 +287,8 @@ def _run_memory(params: dict, seed: int, out: Path) -> None:
         config = _build_memory(params, seed, spread)
         curve = experiments.run_memory(config)
         _write_csv(out / f"decay_{_spread_suffix(spread)}.csv", "time_s,magnitude,fit_magnitude", [
-            f"{_fmt(t)},{_fmt(m)},{_fmt(f)}"
-            for t, m, f in zip(curve.times, curve.magnitudes, curve.fit.magnitude(curve.times))
+            f"{_fmt(t)},{_fmt(m)},{_fmt(f)}" for t, m, f in zip(
+                curve.times.tolist(), curve.magnitudes.tolist(), curve.fit.magnitude(curve.times).tolist())
         ])
         n_cycles = config.cycle_counts()[-1]
         if config.bang_bang:
@@ -379,6 +387,9 @@ def _run_verify(params: dict, out: Path) -> int:
 # ---------------------------------------------------------------------------
 
 def run(doc: dict, seed_override: int | None = None, out_override: str | None = None) -> int:
+    for key in doc:
+        if key not in _TOP_KEYS:
+            raise ConfigError(f"unknown key '{key}'", key)
     experiment = doc.get("experiment")
     if not isinstance(experiment, str) or experiment not in _PARAM_KEYS:
         raise ConfigError(f"experiment must be one of: {', '.join(_PARAM_KEYS)}", "experiment")
@@ -389,7 +400,10 @@ def run(doc: dict, seed_override: int | None = None, out_override: str | None = 
         if key not in _PARAM_KEYS[experiment]:
             raise ConfigError(f"unknown key '{key}'", f"params.{key}")
 
-    out = Path(out_override if out_override is not None else doc.get("out_dir", "."))
+    out_dir = doc.get("out_dir", ".")
+    if not isinstance(out_dir, str):
+        raise ConfigError("out_dir must be a string", "out_dir")
+    out = Path(out_override if out_override is not None else out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     if experiment in ("transmission", "memory"):

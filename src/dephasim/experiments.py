@@ -43,7 +43,7 @@ MAX_TRIAL_EVENTS = 100_000
 # Most trials one run may have; also keeps the trial index k to the one
 # 32-bit entropy word that `_trial_streams` derives streams for.
 MAX_TRIALS = 10_000_000
-# Standard normals drawn at a time for the intervals of one memory trial.
+# Memory trials draw their first normals in multiples of this many.
 _DRAW_BLOCK = 32
 # Trials per call of the phase-walk kernel; bounds its temporary arrays.
 _CHUNK_TRIALS = 32
@@ -170,7 +170,8 @@ class MemoryConfig:
                 warnings.warn(
                     "pulse_spacing is not small against the interval jitter; "
                     "the closed-form retention factor becomes approximate",
-                    stacklevel=2,
+                    # past the dataclass __init__, to the code that built the config
+                    stacklevel=3,
                 )
         elif self.pulse_spacing is not None:
             raise ValueError("pulse_spacing only applies with bang_bang")
@@ -643,30 +644,49 @@ def run_transmission(config: TransmissionConfig) -> EnsembleResult:
     )
 
 
-def _draw_intervals(rng, mean: float, spread: float, count: int | None = None,
-                    horizon: float = math.inf) -> np.ndarray:
-    """Toggle intervals ``mean * (1 + spread * xi)`` for standard normal ``xi``.
+def _toggle_times(rng, states, normals: np.ndarray, mean: float, spread: float,
+                  count: int | None = None, horizon: float = math.inf) -> np.ndarray:
+    """Flip times of the trials whose generators start from ``states``, a row a trial.
 
-    Keeps the positive values of the stream in order: ``count`` of them, or
-    without a count as many as it takes for their running sum to pass
-    ``horizon``.  Normals come in whole blocks of ``_DRAW_BLOCK``, enough
-    for ``count`` at first, then one block at a time.  A non-positive value
-    costs exactly the one normal it came from, so these are the intervals
-    that drawing and resampling one value at a time gives.  Resampling needs
-    no limit: ``MemoryConfig`` keeps the spread at most 0.25, where a value
-    is non-positive only for ``xi <= -4``, about one draw in 30,000.
+    A trial's intervals are ``mean * (1 + spread * xi)`` for the standard
+    normals ``xi`` of its stream, skipping non-positive values: ``count`` of
+    them, or else enough for their running sum to pass ``horizon``.  A row
+    holds their running sums, padded to the widest row with its last flip.
+    ``rng`` first draws each trial's normals into a row of the buffer
+    ``normals``; a row that runs short is drawn again from its state, twice
+    as long.  A block draw equals that many scalar draws, so these are the
+    flips that drawing and resampling one value at a time gives.
+    Resampling needs no limit: ``MemoryConfig`` keeps the spread at most
+    0.25, where a value is non-positive only for ``xi <= -4``, about one
+    draw in 30,000.
     """
-    intervals = np.empty(0)
-    size = _DRAW_BLOCK * max(1, -(-(count or 0) // _DRAW_BLOCK))
-    while True:
-        values = mean * (1.0 + spread * rng.standard_normal(size))
-        intervals = np.concatenate((intervals, values[values > 0.0]))
-        # running sums in drawing order, as when adding one interval at a time
-        need = count if count is not None else int(
-            intervals.cumsum().searchsorted(horizon, side="right")) + 1
-        if need <= len(intervals):
-            return intervals[:need]
-        size = _DRAW_BLOCK
+    for row, state in zip(normals, states):
+        rng.bit_generator.state = state
+        rng.standard_normal(out=row)
+    values = normals[:len(states)]
+    # mean * (1 + spread * xi) in the scalar form's order, so values match it bit for bit
+    values *= spread
+    values += 1.0
+    values *= mean
+    skipped = values <= 0.0
+    if skipped.any():
+        # each row's positive values first, in drawing order; the rest become
+        # inf, so no sum from them on is at or before the horizon
+        values = np.take_along_axis(values, np.argsort(skipped, axis=1, kind="stable"), axis=1)
+        values[values <= 0.0] = np.inf
+    flips = np.cumsum(values, axis=1, out=values)
+    rows, size = flips.shape
+    need = np.full(rows, count) if count is not None else (flips <= horizon).sum(axis=1) + 1
+    last = np.minimum(need, size) - 1
+    short = (need > size) | np.isinf(flips[np.arange(rows), last])
+    redrawn = {k: _toggle_times(rng, [states[k]], np.empty((1, 2 * size)), mean, spread,
+                                count, horizon)[0]
+               for k in np.flatnonzero(short)}
+    width = max([need[~short].max(initial=0), *map(len, redrawn.values())])
+    padded = np.take_along_axis(flips, np.minimum(np.arange(width), last[:, None]), axis=1)
+    for k, row in redrawn.items():
+        padded[k] = row[np.minimum(np.arange(width), len(row) - 1)]
+    return padded
 
 
 def run_memory(config: MemoryConfig) -> DecayCurve:
@@ -678,26 +698,23 @@ def run_memory(config: MemoryConfig) -> DecayCurve:
     if config.bang_bang:
         train = _memory_train(config.pulse_spacing, horizon)
         signs = pi_pulse_signs(cyclic_axes(len(train)))
+        # a row needs the flips up to the horizon and one past it, about n + 1
+        # with a spread of spread * sqrt(n) flips; with eight times that to
+        # spare a row runs short about once in 1e15 trials
+        n = horizon / config.mean_interval
+        first = n + 8 * config.interval_spread * math.sqrt(n) + 2
     else:
-        count = 2 * max(config.cycle_counts())
+        count = first = 2 * max(config.cycle_counts())
         snapshot_flips = np.array(config.cycle_counts()) * 2 - 1
     # one generator, its state replaced by trial k's stream before k's draws
-    bit_generator = np.random.PCG64()
-    rng = np.random.Generator(bit_generator)
+    rng = np.random.Generator(np.random.PCG64())
+    normals = np.empty((_CHUNK_TRIALS, _DRAW_BLOCK * math.ceil(first / _DRAW_BLOCK)))
     states = _trial_states(config.seed, config.trials)
     acc = np.zeros(len(times), dtype=complex)
     for chunk in _blocks(config.trials, _CHUNK_TRIALS):
-        intervals = []
-        for _ in chunk:
-            bit_generator.state = next(states)
-            intervals.append(_draw_intervals(rng, config.mean_interval, config.interval_spread,
-                                             count, horizon))
-        # zero intervals pad short rows with repeats of their last flip, which
-        # with the pulse train lies past the horizon
-        toggles = np.zeros((len(chunk), max(map(len, intervals))))
-        for row, iv in zip(toggles, intervals):
-            row[:len(iv)] = iv
-        toggles.cumsum(axis=1, out=toggles)
+        # with the pulse train, a row's padding lies past the horizon
+        toggles = _toggle_times(rng, [next(states) for _ in chunk], normals, config.mean_interval,
+                                config.interval_spread, count, horizon)
         if count is None:
             snapshots = np.broadcast_to(times, (len(chunk), len(times)))
         else:

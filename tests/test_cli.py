@@ -295,6 +295,32 @@ def test_unknown_params_keys_are_config_errors(tmp_path, capsys, experiment):
     assert not (tmp_path / "out").exists()
 
 
+def _top_level_error(tmp_path, monkeypatch, capsys, doc, where):
+    """Run ``doc`` without --out from an empty directory: exit 1 at ``where``,
+    and nothing written."""
+    config = write_json(tmp_path / "c.json", doc)
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    assert main([config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"(at {where})" in err
+    assert list(run_dir.iterdir()) == []
+
+
+def test_unknown_top_level_keys_are_config_errors(tmp_path, monkeypatch, capsys):
+    """A misspelt out_dir used to be ignored: channel-demo wrote report.txt
+    into the current directory and exited 0."""
+    doc = {"experiment": "channel-demo", "out_dri": "x", "params": {}}
+    _top_level_error(tmp_path, monkeypatch, capsys, doc, "out_dri")
+
+
+@pytest.mark.parametrize("out_dir", [5, None, ["x"]])
+def test_non_string_out_dir_is_a_config_error(tmp_path, monkeypatch, capsys, out_dir):
+    """A number used to end in a TypeError traceback from Path(5)."""
+    _top_level_error(tmp_path, monkeypatch, capsys, transmission_doc(out_dir=out_dir), "out_dir")
+
+
 @pytest.mark.parametrize("experiment", ["transmission", "memory"])
 def test_trials_over_the_limit_are_config_errors(tmp_path, capsys, experiment):
     """A trillion trials used to end in a MemoryError traceback."""

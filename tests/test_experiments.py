@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,8 +29,9 @@ from dephasim import (
 from dephasim import experiments
 from dephasim.experiments import (
     MAX_TRIALS,
+    _DRAW_BLOCK,
     _STREAM_BLOCK,
-    _draw_intervals,
+    _toggle_times,
     _transmission_draws,
     _trial_states,
     _trial_streams,
@@ -311,8 +313,10 @@ def test_configs_refuse_non_finite_numbers(value):
 
 
 def test_memory_bang_bang_warns_when_spacing_is_coarse():
-    with pytest.warns(UserWarning, match="pulse_spacing"):
+    with pytest.warns(UserWarning, match="pulse_spacing") as record:
         base_memory(bang_bang=True, pulse_spacing=0.5e-3)
+    # names the code that built the config, not the dataclass __init__ ("<string>")
+    assert record[0].filename == __file__
     # fine spacing stays quiet
     base_memory(bang_bang=True, pulse_spacing=0.4e-3)
 
@@ -361,15 +365,16 @@ def test_run_memory_deterministic():
 class _NegativeThenFine:
     def __init__(self):
         self.calls = 0
+        self.bit_generator = SimpleNamespace(state=None)
 
-    def standard_normal(self, size):
+    def standard_normal(self, out):
         self.calls += 1
-        return np.full(size, -1e9 if self.calls <= 2 else 0.0)
+        out[:] = -1e9 if self.calls <= 2 else 0.0
 
 
 def test_interval_rejection_resamples():
     rng = _NegativeThenFine()
-    value = _draw_intervals(rng, 2e-3, 0.25, 1)
+    value = _toggle_times(rng, [None], np.empty((1, _DRAW_BLOCK)), 2e-3, 0.25, 1)
     assert value == pytest.approx(2e-3)
     assert rng.calls == 3
 
@@ -379,15 +384,17 @@ class _Sequence:
 
     def __init__(self, normals):
         self.normals = list(normals)
+        self.bit_generator = SimpleNamespace(state=None)
 
-    def standard_normal(self, size):
-        head, self.normals = self.normals[:size], self.normals[size:]
-        return np.array(head + [0.0] * (size - len(head)))
+    def standard_normal(self, out):
+        head, self.normals = self.normals[:len(out)], self.normals[len(out):]
+        out[:] = head + [0.0] * (len(out) - len(head))
 
 
 def test_intervals_run_until_their_sum_passes_the_horizon():
     # 2 ms + 2 ms lands exactly on a 4 ms horizon, which is not past it
-    assert _draw_intervals(_Sequence([]), 2e-3, 0.25, horizon=4e-3) == pytest.approx([2e-3] * 3)
+    flips = _toggle_times(_Sequence([]), [None], np.empty((1, _DRAW_BLOCK)), 2e-3, 0.25, horizon=4e-3)
+    assert np.diff(flips[0], prepend=0.0) == pytest.approx([2e-3] * 3)
 
 
 def _one_at_a_time(rng, mean, spread, count=None, horizon=math.inf):
@@ -406,9 +413,33 @@ def test_block_draws_equal_one_at_a_time_draws(spread):
     rejected, runs of them span blocks, and the horizon falls mid-block."""
     for k in range(40):
         for count, horizon in ((50, math.inf), (None, 60e-3), (None, 1e-4)):
-            block = _draw_intervals(np.random.default_rng((9, k)), 2e-3, spread, count, horizon)
-            scalar = _one_at_a_time(np.random.default_rng((9, k)), 2e-3, spread, count, horizon)
+            rng = np.random.default_rng((9, k))
+            block = _toggle_times(rng, [rng.bit_generator.state], np.empty((1, _DRAW_BLOCK)),
+                                  2e-3, spread, count, horizon)[0]
+            scalar = np.cumsum(_one_at_a_time(np.random.default_rng((9, k)), 2e-3, spread, count, horizon))
             assert np.array_equal(block, scalar)
+
+
+@pytest.mark.parametrize("spread", [0.0, 0.25, 1.5])
+@pytest.mark.parametrize("count, horizon", [(50, math.inf), (None, 60e-3)], ids=["count", "horizon"])
+@pytest.mark.parametrize("chunk, width", [(1, 64), (32, 64), (32, 8)], ids=["1", "32", "32-short"])
+def test_chunked_draws_equal_one_at_a_time_draws(spread, count, horizon, chunk, width):
+    """Each row of a chunk holds its trial's flips, then repeats of its last
+    one up to the chunk's widest row.  70 trials end in a partial chunk; at
+    width 8 every first row runs short and is drawn again."""
+    trials = 70
+    states = list(_trial_states(5, trials))
+    rng = np.random.Generator(np.random.PCG64())
+    normals = np.empty((chunk, width))
+    for block in experiments._blocks(trials, chunk):
+        flips = _toggle_times(rng, states[block.start:block.stop], normals[:len(block)],
+                              2e-3, spread, count, horizon)
+        expected = [np.cumsum(_one_at_a_time(np.random.default_rng((5, k)), 2e-3, spread, count, horizon))
+                    for k in block]
+        assert flips.shape == (len(block), max(map(len, expected)))
+        for row, scalar in zip(flips, expected):
+            assert np.array_equal(row[:len(scalar)], scalar)
+            assert np.all(row[len(scalar):] == scalar[-1])
 
 
 def _oracle_memory_magnitudes(config):
