@@ -65,6 +65,7 @@ from .experiments import (
     DecayCurve,
     EnsembleResult,
     ExponentialFit,
+    FieldError,
     MemoryConfig,
     TransmissionConfig,
     bang_bang_dephasing_time,

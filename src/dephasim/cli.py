@@ -36,6 +36,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -113,17 +114,6 @@ def _positive(value: float, key: str, location: str) -> float:
     return value
 
 
-def _coupling(params: dict, location: str) -> float:
-    return TWO_PI * _positive(_require(params, "j_hz", float, location), "j_hz", location)
-
-
-def _trials(params: dict, location: str) -> int:
-    trials = _require(params, "trials", int, location)
-    if trials > experiments.MAX_TRIALS:
-        raise ConfigError(f"trials exceeds the limit of {experiments.MAX_TRIALS}", f"{location}.trials")
-    return trials
-
-
 _TRANSMISSION_OPTIONS = {"bang_bang": bool, "pulse_spacing": float, "pulses_per_trial": int,
                          "random_train_phase": bool, "group_size": int, "remove_trivial_phase": bool}
 _MEMORY_OPTIONS = {"bang_bang": bool, "pulse_spacing": float}
@@ -141,73 +131,84 @@ _PARAM_KEYS = {
 }
 
 
+# where a config field sits in the document, where it is not params.<field>
+_FIELD_LOCATIONS = {"j": "params.j_hz", "seed": "seed"}
+
+
+def _build(cls, locations: dict, **fields):
+    """``cls(**fields)``; a refusal is a config error at its field's location,
+    taken from ``locations``, then ``_FIELD_LOCATIONS``."""
+    try:
+        return cls(**fields)
+    except experiments.FieldError as exc:
+        where = locations.get(exc.field) or _FIELD_LOCATIONS.get(exc.field, f"params.{exc.field}")
+        raise ConfigError(str(exc), where) from None
+
+
 def _build_transmission(params: dict, seed: int) -> experiments.TransmissionConfig:
     loc = "params"
-    try:
-        return experiments.TransmissionConfig(
-            j=_coupling(params, loc),
-            total_time=_require(params, "total_time", float, loc),
-            noise_start=_require(params, "noise_start", float, loc),
-            trials=_trials(params, loc),
-            seed=seed,
-            **_options(params, _TRANSMISSION_OPTIONS, loc),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), loc)
+    return _build(
+        experiments.TransmissionConfig, {},
+        j=TWO_PI * _require(params, "j_hz", float, loc),
+        total_time=_require(params, "total_time", float, loc),
+        noise_start=_require(params, "noise_start", float, loc),
+        trials=_require(params, "trials", int, loc),
+        seed=seed,
+        **_options(params, _TRANSMISSION_OPTIONS, loc),
+    )
 
 
 def _floats(raw: list, location: str) -> list[float]:
     return [_require(raw, i, float, location) for i in range(len(raw))]
 
 
-def _spread_list(params: dict, location: str) -> list[float]:
+def _spreads(params: dict, location: str) -> list[tuple[float, str]]:
+    """Each interval spread with its location."""
     raw = params.get("interval_spread")
+    where = f"{location}.interval_spread"
     if not isinstance(raw, list):
-        return [_require(params, "interval_spread", float, location)]
+        return [(_require(params, "interval_spread", float, location), where)]
     if not raw:
-        raise ConfigError("interval_spread list is empty", f"{location}.interval_spread")
-    return _floats(raw, f"{location}.interval_spread")
+        raise ConfigError("interval_spread list is empty", where)
+    return [(spread, f"{where}[{i}]") for i, spread in enumerate(_floats(raw, where))]
 
 
-def _observation_times(params: dict, mean_interval: float, location: str) -> tuple[float, ...]:
+def _observation_times(params: dict, mean_interval: float, location: str) -> tuple[tuple[float, ...], str]:
+    """The observation times and their location."""
     raw = params.get("observation_times")
     if raw is None:
         raise ConfigError("missing required key 'observation_times'", location)
-    cycle = 2.0 * mean_interval
     where = f"{location}.observation_times"
     if isinstance(raw, dict):
+        cycle = 2.0 * _positive(mean_interval, "mean_interval", location)
         cycles = _require(raw, "max_time", float, where) / cycle + 1e-9
         where += ".max_time"
         # one time per toggle cycle: bound the grid before building it
         if cycles > experiments.MAX_TRIAL_EVENTS:
             raise ConfigError(
                 f"max_time spans more than {experiments.MAX_TRIAL_EVENTS} toggle cycles", where)
-        times = tuple(cycle * k for k in range(1, int(cycles) + 1))
-    elif isinstance(raw, list):
-        times = tuple(_floats(raw, where))
-    else:
-        raise ConfigError("observation_times must be a list or {'max_time': t}", where)
-    # the exponential fit of the decay needs three points
-    if len(times) < 3:
-        raise ConfigError("need at least 3 observation times", where)
-    return times
+        return tuple(cycle * k for k in range(1, int(cycles) + 1)), where
+    if isinstance(raw, list):
+        return tuple(_floats(raw, where)), where
+    raise ConfigError("observation_times must be a list or {'max_time': t}", where)
 
 
-def _build_memory(params: dict, seed: int, spread: float) -> experiments.MemoryConfig:
+def _build_memory(params: dict, seed: int) -> list[experiments.MemoryConfig]:
+    """One config per interval spread."""
     loc = "params"
-    mean_interval = _positive(_require(params, "mean_interval", float, loc), "mean_interval", loc)
-    try:
-        return experiments.MemoryConfig(
-            j=_coupling(params, loc),
-            mean_interval=mean_interval,
-            interval_spread=spread,
-            observation_times=_observation_times(params, mean_interval, loc),
-            trials=_trials(params, loc),
-            seed=seed,
-            **_options(params, _MEMORY_OPTIONS, loc),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), loc)
+    mean_interval = _require(params, "mean_interval", float, loc)
+    times, times_at = _observation_times(params, mean_interval, loc)
+    fields = dict(
+        j=TWO_PI * _require(params, "j_hz", float, loc),
+        mean_interval=mean_interval,
+        observation_times=times,
+        trials=_require(params, "trials", int, loc),
+        seed=seed,
+        **_options(params, _MEMORY_OPTIONS, loc),
+    )
+    return [_build(experiments.MemoryConfig, {"observation_times": times_at, "interval_spread": at},
+                   interval_spread=spread, **fields)
+            for spread, at in _spreads(params, loc)]
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +241,7 @@ def _pct(simulated: float, predicted: float) -> str:
 # experiment runners
 # ---------------------------------------------------------------------------
 
-def _run_transmission(params: dict, seed: int, out: Path) -> None:
-    config = _build_transmission(params, seed)
+def _run_transmission(config: experiments.TransmissionConfig, out: Path) -> None:
     result = experiments.run_transmission(config)
     amps, groups = result.amplitudes, result.group_averages
     # formatted from Python floats, which is faster than from numpy scalars
@@ -281,10 +281,10 @@ def _run_transmission(params: dict, seed: int, out: Path) -> None:
     _report(out / "summary.txt", lines)
 
 
-def _run_memory(params: dict, seed: int, out: Path) -> None:
+def _run_memory(configs: list[experiments.MemoryConfig], out: Path) -> None:
     rows = []
-    for spread in _spread_list(params, "params"):
-        config = _build_memory(params, seed, spread)
+    for config in configs:
+        spread = config.interval_spread
         curve = experiments.run_memory(config)
         _write_csv(out / f"decay_{_spread_suffix(spread)}.csv", "time_s,magnitude,fit_magnitude", [
             f"{_fmt(t)},{_fmt(m)},{_fmt(f)}" for t, m, f in zip(
@@ -322,7 +322,7 @@ def _run_memory(params: dict, seed: int, out: Path) -> None:
     _report(out / "summary.txt", header + rows)
 
 
-def _run_channel_demo(params: dict, out: Path) -> None:
+def _flip_probabilities(params: dict) -> list[float]:
     raw = params.get("flip_probabilities", [0.0, 0.25, 0.5, 0.75, 1.0])
     where = "params.flip_probabilities"
     if not isinstance(raw, list) or not raw:
@@ -331,6 +331,10 @@ def _run_channel_demo(params: dict, out: Path) -> None:
     for i, p in enumerate(probs):
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"flip probability {p:g} outside [0, 1]", f"{where}[{i}]")
+    return probs
+
+
+def _run_channel_demo(probs: list[float], out: Path) -> None:
     lines = ["dephasing channel constructions, map deviation from the operator form", ""]
     lines.append("  p       pure-env dilation   mixed-env dilation   unitary mixture")
     for p in probs:
@@ -349,14 +353,15 @@ def _run_channel_demo(params: dict, out: Path) -> None:
     _report(out / "report.txt", lines)
 
 
-def _run_verify(params: dict, out: Path) -> int:
+def _frame_check(params: dict) -> pulse.FrameCheck:
     loc = "params"
     values = {"omega_2_hz": 500.0, "j_hz": 215.5, "t": 1e-3} | _options(params, _VERIFY_OPTIONS, loc)
     omega_2 = TWO_PI * _positive(values["omega_2_hz"], "omega_2_hz", loc)
-    omega_1 = omega_2 / 4.0
     j = TWO_PI * _positive(values["j_hz"], "j_hz", loc)
-    frame = pulse.rotating_frame_check(pulse.LabFrameParams(omega_1, omega_2, j), values["t"])
+    return pulse.rotating_frame_check(pulse.LabFrameParams(omega_2 / 4.0, omega_2, j), values["t"])
 
+
+def _run_verify(frame: pulse.FrameCheck, out: Path) -> int:
     lines = ["rotating-frame check: residual of R H R† + i (dR/dt) R† minus the pure coupling", ""]
     lines += [f"  dt = {dt:.2e} s   residual = {res:.6e}"
               for dt, res in zip(pulse.FRAME_CHECK_STEPS, frame.residuals)]
@@ -403,22 +408,22 @@ def run(doc: dict, seed_override: int | None = None, out_override: str | None = 
     out_dir = doc.get("out_dir", ".")
     if not isinstance(out_dir, str):
         raise ConfigError("out_dir must be a string", "out_dir")
-    out = Path(out_override if out_override is not None else out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
+    # every config is built, so every config error raised, before anything is written
     if experiment in ("transmission", "memory"):
         seed = seed_override if seed_override is not None else doc.get("seed")
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ConfigError("a non-negative integer seed is required", "seed")
-        if experiment == "transmission":
-            _run_transmission(params, seed, out)
-        else:
-            _run_memory(params, seed, out)
-        return 0
-    if experiment == "channel-demo":
-        _run_channel_demo(params, out)
-        return 0
-    return _run_verify(params, out)
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ConfigError("an integer seed is required", "seed")
+        build, runner = ((_build_transmission, _run_transmission) if experiment == "transmission"
+                         else (_build_memory, _run_memory))
+        task = partial(runner, build(params, seed))
+    elif experiment == "channel-demo":
+        task = partial(_run_channel_demo, _flip_probabilities(params))
+    else:
+        task = partial(_run_verify, _frame_check(params))
+    out = Path(out_override if out_override is not None else out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return task(out) or 0
 
 
 def main(argv=None) -> int:

@@ -54,6 +54,15 @@ _STREAM_BLOCK = 4096
 PI = math.pi
 
 
+class FieldError(ValueError):
+    """A refused config.  ``field`` names the field to change; a rule over
+    several fields names the one a user would change."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 # ---------------------------------------------------------------------------
 # configurations
 # ---------------------------------------------------------------------------
@@ -87,30 +96,32 @@ class TransmissionConfig:
         _check_finite(j=self.j, total_time=self.total_time, noise_start=self.noise_start,
                       pulse_spacing=self.pulse_spacing)
         if not self.j > 0:
-            raise ValueError("coupling j must be positive")
+            raise FieldError("j", "coupling j must be positive")
         if not 0 < self.noise_start < self.total_time:
-            raise ValueError("need 0 < noise_start < total_time")
+            raise FieldError("noise_start", "need 0 < noise_start < total_time")
         if self.noise_start + 2 * PI / self.j > self.total_time + 1e-12:
-            raise ValueError("noise window (one coupling period) must fit before total_time")
+            raise FieldError("total_time", "noise window (one coupling period) must fit before total_time")
+        _check_phase(self.j, self.total_time, "total_time")
         _check_trials(self.trials)
-        if self.group_size < 1:
-            raise ValueError("group_size must be at least 1")
+        if not 1 <= self.group_size <= MAX_TRIALS:
+            raise FieldError("group_size", f"group_size must lie in [1, {MAX_TRIALS}]")
         if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+            raise FieldError("seed", "seed must be a non-negative integer")
         if self.bang_bang:
             if self.pulse_spacing is None or not self.pulse_spacing > 0:
-                raise ValueError("bang_bang requires a positive pulse_spacing")
+                raise FieldError("pulse_spacing", "bang_bang requires a positive pulse_spacing")
             if self.j * self.pulse_spacing >= 1.0:
-                raise ValueError("pulse train too sparse: need j * pulse_spacing < 1")
+                raise FieldError("pulse_spacing", "pulse train too sparse: need j * pulse_spacing < 1")
             n = self.pulse_count()
+            counted = self.pulses_per_trial is not None
             if n > MAX_TRIAL_EVENTS:
-                raise ValueError(f"pulse train exceeds the limit of {MAX_TRIAL_EVENTS} events a trial")
+                raise FieldError("pulses_per_trial" if counted else "pulse_spacing",
+                                 f"pulse train exceeds the limit of {MAX_TRIAL_EVENTS} events a trial")
             if self.noise_start + n * self.pulse_spacing > self.total_time + 1e-12:
-                raise ValueError(
-                    f"train of {n} pulses does not fit between noise_start and total_time"
-                )
+                raise FieldError("pulses_per_trial" if counted else "total_time",
+                                 f"train of {n} pulses does not fit between noise_start and total_time")
         elif self.pulses_per_trial is not None:
-            raise ValueError("pulses_per_trial only applies with bang_bang")
+            raise FieldError("pulses_per_trial", "pulses_per_trial only applies with bang_bang")
 
     def pulse_count(self) -> int:
         """Length of the pi-pulse train.
@@ -120,7 +131,7 @@ class TransmissionConfig:
         """
         if self.pulses_per_trial is not None:
             if self.pulses_per_trial < 1:
-                raise ValueError("pulses_per_trial must be at least 1")
+                raise FieldError("pulses_per_trial", "pulses_per_trial must be at least 1")
             return self.pulses_per_trial
         assert self.pulse_spacing is not None
         # capped, so that a subnormal spacing gives a count over the limit, not an overflow
@@ -155,17 +166,20 @@ class MemoryConfig:
         _check_finite(j=self.j, mean_interval=self.mean_interval, interval_spread=self.interval_spread,
                       pulse_spacing=self.pulse_spacing, observation_times=self.observation_times)
         if not self.j > 0:
-            raise ValueError("coupling j must be positive")
+            raise FieldError("j", "coupling j must be positive")
         if not self.mean_interval > 0:
-            raise ValueError("mean_interval must be positive")
+            raise FieldError("mean_interval", "mean_interval must be positive")
         if not 0.0 <= self.interval_spread <= 0.25:
-            raise ValueError("interval_spread must lie in [0, 0.25]")
+            raise FieldError("interval_spread", "interval_spread must lie in [0, 0.25]")
         # the exponential fit of the decay needs three points
         if len(self.observation_times) < 3:
-            raise ValueError("need at least 3 observation times")
+            raise FieldError("observation_times", "need at least 3 observation times")
         if self.bang_bang:
             if self.pulse_spacing is None or not self.pulse_spacing > 0:
-                raise ValueError("bang_bang requires a positive pulse_spacing")
+                raise FieldError("pulse_spacing", "bang_bang requires a positive pulse_spacing")
+            # the domain of bang_bang_dephasing_time, the run's closed form
+            if not self.j * self.pulse_spacing < 2 * PI:
+                raise FieldError("pulse_spacing", "pulse train too sparse: need j * pulse_spacing < 2 pi")
             if self.pulse_spacing >= self.interval_spread * self.mean_interval:
                 warnings.warn(
                     "pulse_spacing is not small against the interval jitter; "
@@ -174,27 +188,37 @@ class MemoryConfig:
                     stacklevel=3,
                 )
         elif self.pulse_spacing is not None:
-            raise ValueError("pulse_spacing only applies with bang_bang")
+            raise FieldError("pulse_spacing", "pulse_spacing only applies with bang_bang")
         # toggles up to the horizon (their mean number with bang_bang) and the train
         horizon = max(self.observation_times)
-        events = horizon / self.mean_interval + (horizon / self.pulse_spacing if self.bang_bang else 0)
-        if events > MAX_TRIAL_EVENTS:
-            raise ValueError(
-                f"toggles and pulse train exceed the limit of {MAX_TRIAL_EVENTS} events a trial")
+        train = horizon / self.pulse_spacing if self.bang_bang else 0
+        if horizon / self.mean_interval + train > MAX_TRIAL_EVENTS:
+            raise FieldError("pulse_spacing" if train > MAX_TRIAL_EVENTS else "observation_times",
+                             f"toggles and pulse train exceed the limit of {MAX_TRIAL_EVENTS} "
+                             "events a trial")
+        # with the train the snapshots are the observation times; without it
+        # they are flips, where psi is an alternating sum of the intervals,
+        # about half the horizon
+        _check_phase(self.j, horizon, "observation_times")
+        # the flips a trial draws pass the horizon by about one interval, and
+        # twice the horizon only at odds below 1e-20 (a mean xi of 4 over at
+        # least 6 draws); a row whose needed flip overflows is redrawn forever
+        if not math.isfinite(2.0 * horizon):
+            raise FieldError("observation_times", "observation times must stay below half the largest float")
         cycle = 2.0 * self.mean_interval
         prev = 0.0
         for t in self.observation_times:
             if t <= prev:
-                raise ValueError("observation times must be positive and strictly increasing")
+                raise FieldError("observation_times",
+                                 "observation times must be positive and strictly increasing")
             n = t / cycle
-            if abs(n - round(n)) > 1e-9 * max(n, 1.0):
-                raise ValueError(
-                    f"observation time {t:.12g} is not a multiple of one toggle cycle {cycle:.12g}"
-                )
+            if round(n) < 1 or abs(n - round(n)) > 1e-9 * max(n, 1.0):
+                raise FieldError("observation_times", f"observation time {t:.12g} is not a "
+                                 f"multiple of one toggle cycle {cycle:.12g}")
             prev = t
         _check_trials(self.trials)
         if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+            raise FieldError("seed", "seed must be a non-negative integer")
 
     def cycle_counts(self) -> tuple[int, ...]:
         cycle = 2.0 * self.mean_interval
@@ -206,14 +230,25 @@ def _check_finite(**values) -> None:
     for name, value in values.items():
         entries = () if value is None else value if isinstance(value, tuple) else (value,)
         if not all(map(math.isfinite, entries)):
-            raise ValueError(f"{name} must be finite")
+            raise FieldError(name, f"{name} must be finite")
 
 
 def _check_trials(trials: int) -> None:
     if trials < 1:
-        raise ValueError("trials must be at least 1")
+        raise FieldError("trials", "trials must be at least 1")
     if trials > MAX_TRIALS:
-        raise ValueError(f"trials exceeds the limit of {MAX_TRIALS}")
+        raise FieldError("trials", f"trials exceeds the limit of {MAX_TRIALS}")
+
+
+def _check_phase(j: float, time: float, field: str) -> None:
+    """Refuse a ``time`` at which the phase ``j * time / 2`` overflows.
+
+    `phase_walk` returns ``exp(0.5j * j * psi)`` with ``|psi|`` at most the
+    latest snapshot time, and the trivial-phase factor is
+    ``exp(-0.5j * j * total_time)``; an infinite phase makes both NaN.
+    """
+    if not math.isfinite(0.5 * j * time):
+        raise FieldError(field, f"phase j * {field} / 2 overflows")
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +344,9 @@ def interval_noise_retention(j: float, mean_interval: float, spread: float) -> f
         raise ValueError("coupling and mean_interval must be positive")
     if spread < 0:
         raise ValueError("spread must be non-negative")
-    return float(math.exp(-((j * mean_interval * spread) ** 2) / 4.0))
+    x = j * mean_interval * spread
+    # a product, not ** 2, so that a huge x gives inf and retention 0
+    return float(math.exp(-(x * x) / 4.0))
 
 
 def dephasing_time(j: float, spread: float, mean_interval: float) -> float:
@@ -317,15 +354,15 @@ def dephasing_time(j: float, spread: float, mean_interval: float) -> float:
 
     ``magnitude(t) = retention^(t / cycle)`` collapses to
     ``exp(-t / t2)`` with ``t2 = 8 / (j^2 spread^2 mean_interval)``.
-    An infinitely long constant comes back for zero spread.
+    An infinitely long constant comes back for zero spread, or one whose
+    rate rounds to zero; 0 comes back for a rate that overflows.
     """
     if not j > 0 or not mean_interval > 0:
         raise ValueError("coupling and mean_interval must be positive")
     if spread < 0:
         raise ValueError("spread must be non-negative")
-    if spread == 0.0:
-        return math.inf
-    return 8.0 / (j**2 * spread**2 * mean_interval)
+    rate = j * j * (spread * spread) * mean_interval
+    return 8.0 / rate if rate > 0 else math.inf
 
 
 def bang_bang_dephasing_time(j: float, spacing: float, mean_interval: float) -> float:
@@ -337,8 +374,8 @@ def bang_bang_dephasing_time(j: float, spacing: float, mean_interval: float) -> 
     """
     if not mean_interval > 0:
         raise ValueError("mean_interval must be positive")
-    if not 0 < j * spacing < 2 * PI:
-        raise ValueError("need 0 < j * spacing < 2 pi")
+    if not (j > 0 and spacing > 0 and j * spacing < 2 * PI):
+        raise ValueError("need positive j and spacing, and j * spacing < 2 pi")
     if j * spacing < 1e-8:
         return math.inf
     retention = bang_bang_retention(j, spacing)
@@ -355,7 +392,8 @@ def decay_contrast(decay: float, reference: float, spread: float) -> float:
         raise ValueError("decay factors must be positive")
     if spread <= 0:
         raise ValueError("spread must be positive")
-    return float(-math.log(decay / reference) / spread**2)
+    # divided twice, so that a tiny spread gives inf, not a zero division
+    return float(-math.log(decay / reference) / spread / spread)
 
 
 def four_case_phase(case: int, eps0: float, eps1: float, spacing: float, j: float) -> float:

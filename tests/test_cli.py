@@ -1,11 +1,19 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dephasim import MemoryConfig, run_memory
-from dephasim.cli import ConfigError, _fmt, _spread_suffix, _write_csv, load_config, main, run
+from dephasim.cli import _PARAM_KEYS, ConfigError, _fmt, _spread_suffix, _write_csv, load_config, main, run
 
 
 def write_json(path, doc):
@@ -105,7 +113,8 @@ def test_invalid_physics_reported_with_location(tmp_path, capsys):
     doc = transmission_doc()
     doc["params"]["total_time"] = 2e-3  # noise window cannot fit
     assert main([write_json(tmp_path / "c.json", doc)]) == 1
-    assert "noise window" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "noise window" in err and "(at params.total_time)" in err
 
 
 def test_out_dir_collision_exits_2(tmp_path, capsys):
@@ -330,13 +339,15 @@ def test_trials_over_the_limit_are_config_errors(tmp_path, capsys, experiment):
 
 
 @pytest.mark.parametrize("experiment, params, where", [
-    ("memory", {"observation_times": [4e-3, 8e-3, 1e9]}, "(at params)"),
+    ("memory", {"observation_times": [4e-3, 8e-3, 1e9]}, "(at params.observation_times)"),
     ("memory", {"observation_times": {"max_time": 1e12}}, "(at params.observation_times.max_time)"),
-    ("memory", {"bang_bang": True, "pulse_spacing": 1e-12}, "(at params)"),
-    ("transmission", {"total_time": 9e-3, "bang_bang": True, "pulse_spacing": 1e-12}, "(at params)"),
+    ("memory", {"bang_bang": True, "pulse_spacing": 1e-12}, "(at params.pulse_spacing)"),
+    ("transmission", {"total_time": 9e-3, "bang_bang": True, "pulse_spacing": 1e-12},
+     "(at params.pulse_spacing)"),
     # subnormal values whose event counts overflow to infinity
-    ("memory", {"mean_interval": 5e-324, "observation_times": [1, 2, 3]}, "(at params)"),
-    ("transmission", {"total_time": 9e-3, "bang_bang": True, "pulse_spacing": 5e-324}, "(at params)"),
+    ("memory", {"mean_interval": 5e-324, "observation_times": [1, 2, 3]}, "(at params.observation_times)"),
+    ("transmission", {"total_time": 9e-3, "bang_bang": True, "pulse_spacing": 5e-324},
+     "(at params.pulse_spacing)"),
 ], ids=["observation_times", "max_time", "memory_train", "transmission_train",
         "subnormal_interval", "subnormal_spacing"])
 def test_configs_over_the_event_limit_are_config_errors(tmp_path, capsys, experiment, params, where):
@@ -344,6 +355,88 @@ def test_configs_over_the_event_limit_are_config_errors(tmp_path, capsys, experi
     doc = memory_doc() if experiment == "memory" else transmission_doc()
     doc["params"].update(params)
     _config_error(tmp_path, capsys, doc, "100000", where)
+
+
+_TRAIN = {"total_time": 9e-3, "bang_bang": True, "pulse_spacing": 0.3e-3}
+
+
+# (rule, experiment, params, location of the refusal)
+_RULES = [
+    ("positive_j", "transmission", {"j_hz": -5}, "params.j_hz"),
+    ("finite_j", "transmission", {"j_hz": 1e308}, "params.j_hz"),   # 2 pi * 1e308 is infinite
+    ("noise_start", "transmission", {"noise_start": 0}, "params.noise_start"),
+    ("noise_window", "transmission", {"total_time": 2e-3}, "params.total_time"),
+    ("phase", "transmission", {"total_time": 1e306}, "params.total_time"),
+    ("trials", "transmission", {"trials": 0}, "params.trials"),
+    ("group_size", "transmission", {"group_size": 0}, "params.group_size"),
+    ("group_size_limit", "transmission", {"group_size": 10**400}, "params.group_size"),
+    ("train_spacing", "transmission", {"bang_bang": True}, "params.pulse_spacing"),
+    ("sparse_train", "transmission", {**_TRAIN, "total_time": 20e-3, "pulse_spacing": 1e-3},
+     "params.pulse_spacing"),
+    ("pulse_count", "transmission", {**_TRAIN, "pulses_per_trial": 0}, "params.pulses_per_trial"),
+    ("train_limit", "transmission", {**_TRAIN, "pulses_per_trial": 200_000}, "params.pulses_per_trial"),
+    ("train_fit", "transmission", {**_TRAIN, "total_time": 6e-3}, "params.total_time"),
+    ("set_train_fit", "transmission", {**_TRAIN, "pulses_per_trial": 32}, "params.pulses_per_trial"),
+    ("train_without_bang_bang", "transmission", {"pulses_per_trial": 16}, "params.pulses_per_trial"),
+    ("positive_j", "memory", {"j_hz": -5}, "params.j_hz"),
+    ("mean_interval", "memory", {"mean_interval": -2e-3, "observation_times": [4e-3, 8e-3, 12e-3]},
+     "params.mean_interval"),
+    ("spread", "memory", {"interval_spread": 0.3}, "params.interval_spread"),
+    ("second_spread", "memory", {"interval_spread": [0.1, 0.9]}, "params.interval_spread[1]"),
+    ("three_times", "memory", {"observation_times": [4e-3, 8e-3]}, "params.observation_times"),
+    ("three_grid_times", "memory", {"observation_times": {"max_time": 8e-3}},
+     "params.observation_times.max_time"),
+    ("whole_cycles", "memory", {"observation_times": [4e-3, 5e-3, 8e-3]}, "params.observation_times"),
+    ("increasing", "memory", {"observation_times": [4e-3, 12e-3, 8e-3]}, "params.observation_times"),
+    ("no_zero_cycles", "memory", {"observation_times": [1e-20, 2e-20, 3e-20]}, "params.observation_times"),
+    ("phase", "memory", {"j_hz": 1e10, "mean_interval": 1e299, "interval_spread": 0,
+                         "observation_times": [2e299, 4e299, 6e299]}, "params.observation_times"),
+    ("finite_flips", "memory", {"j_hz": 0.1, "mean_interval": 1e307,
+                                "observation_times": [2e307 * k for k in range(1, 9)]},
+     "params.observation_times"),
+    ("train_spacing", "memory", {"bang_bang": True}, "params.pulse_spacing"),
+    ("spacing_without_bang_bang", "memory", {"pulse_spacing": 0.1e-3}, "params.pulse_spacing"),
+    ("sparse_train", "memory", {"bang_bang": True, "pulse_spacing": 5e-3}, "params.pulse_spacing"),
+    ("trials", "memory", {"trials": 0}, "params.trials"),
+]
+
+
+@pytest.mark.parametrize("experiment, params, where", [rule[1:] for rule in _RULES],
+                         ids=[f"{experiment}-{rule}" for rule, experiment, _, _ in _RULES])
+def test_config_rules_are_reported_at_their_field(tmp_path, capsys, experiment, params, where):
+    """Each rule of the config classes, refused at the key to change."""
+    doc = memory_doc() if experiment == "memory" else transmission_doc()
+    doc["params"].update(params)
+    _config_error(tmp_path, capsys, doc, f"(at {where})")
+
+
+@pytest.mark.parametrize("doc, where", [
+    (memory_doc(seed=-1), "seed"),
+    (transmission_doc(params={**transmission_doc()["params"], "j_hz": -1}), "params.j_hz"),
+    (memory_doc(params={**memory_doc()["params"], "interval_spread": [0.1, 0.9]}),
+     "params.interval_spread[1]"),
+    # phases that overflow used to write NaN to every output and exit 0
+    (transmission_doc(params={**transmission_doc()["params"], "total_time": 1e306}), "params.total_time"),
+    (memory_doc(params={"j_hz": 1e10, "mean_interval": 1e299, "interval_spread": 0, "trials": 4,
+                        "observation_times": [2e299, 4e299, 6e299]}), "params.observation_times"),
+], ids=["seed", "field", "second_spread", "transmission_phase", "memory_phase"])
+def test_config_errors_write_nothing(tmp_path, capsys, doc, where):
+    """Every config is built before the output directory is made: a bad
+    second spread used to leave the first spread's CSV behind."""
+    _config_error(tmp_path, capsys, doc, f"(at {where})")
+    assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_closed_forms_report_no_deviation(tmp_path, capsys):
+    """(j * mean_interval * spread) ** 2 used to end in an OverflowError
+    traceback; as a product it overflows to a retention of 0 and a t2 of 0."""
+    doc = memory_doc()
+    doc["params"].update(j_hz=1.6e159, interval_spread=0.25, trials=1)
+    out = tmp_path / "results"
+    assert main([write_json(tmp_path / "c.json", doc), "--out", str(out)]) == 0
+    row = (out / "summary.txt").read_text().splitlines()[-1].split()
+    assert row[0] == "0.250" and row[2] == "0" and row[3] == "n/a"
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spacing", [1e-5, 2e-5, 5e-5, 1e-4, 2e-4])
@@ -355,6 +448,98 @@ def test_pulsed_memory_train_ending_on_the_horizon_runs(tmp_path, spacing):
     out = tmp_path / "results"
     assert main([write_json(tmp_path / "c.json", doc), "--out", str(out)]) == 0
     assert len((out / "decay_a025.csv").read_text().splitlines()) == 16
+
+
+# ---------------------------------------------------------------------------
+# mutated sample configs
+# ---------------------------------------------------------------------------
+
+_SAMPLES = {path.name: json.loads(path.read_text())
+            for path in (Path(__file__).parents[1] / "configs").glob("*.json")}
+# what a value is changed to: dropped, put in a list, or replaced
+_CHANGES = [("drop", None), ("wrap", None)] + [("set", value) for value in (
+    -0.0, 5e-324, 1e308, 10**400, None, "0.001", True, {})]
+
+
+def _sample(name: str) -> dict:
+    doc = copy.deepcopy(_SAMPLES[name])
+    # one trial keeps each run short, and every memory magnitude at 1, so the
+    # decay fit always has its three points above FIT_FLOOR
+    doc["params"]["trials"] = 1
+    return doc
+
+
+def _paths(node, prefix=()):
+    """The key path of every value below ``node``, a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutations(doc: dict) -> list:
+    """Every ``(path, change)`` one mutation away from ``doc``: each value
+    changed, and each absent params key of its experiment, or an unknown
+    one, added."""
+    mutations = [(path, change) for path in _paths(doc) for change in _CHANGES]
+    params, experiment = doc.get("params"), doc.get("experiment")
+    if isinstance(params, dict) and isinstance(experiment, str):
+        absent = sorted(_PARAM_KEYS.get(experiment, set()) - set(params)) + ["extra"]
+        mutations += [(("params", key), change) for key in absent for change in _CHANGES[2:]]
+    return mutations + [(("extra",), ("set", None))]
+
+
+def _mutated(doc: dict, path: tuple, change: tuple) -> dict:
+    doc = copy.deepcopy(doc)
+    *head, key = path
+    parent = doc
+    for step in head:
+        parent = parent[step]
+    kind, value = change
+    if kind == "drop":
+        del parent[key]
+    else:
+        parent[key] = [parent[key]] if kind == "wrap" else copy.deepcopy(value)
+    return doc
+
+
+def _check_contract(doc: dict) -> None:
+    """No exception escapes; a failure prints one error line; exit 1 writes
+    nothing; exit 0 writes no NaN; only verify exits 2."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "c.json", Path(tmp) / "out"
+        config.write_text(json.dumps(doc))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main([str(config), "--out", str(out)])
+        if code == 0:
+            outputs = [stdout.getvalue()] + [path.read_text() for path in out.iterdir()]
+            assert not any(re.search(r"\bnan\b", text, re.IGNORECASE) for text in outputs), doc
+        else:
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith(("config error", "runtime error")), (lines, doc)
+        assert code in (0, 1, 2), doc
+        assert code != 1 or not out.exists(), doc
+        assert code != 2 or doc.get("experiment") == "verify", (stderr.getvalue(), doc)
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLES))
+def test_every_single_mutation_keeps_the_cli_contract(name):
+    doc = _sample(name)
+    for path, change in _mutations(doc):
+        _check_contract(_mutated(doc, path, change))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_sample_configs_keep_the_cli_contract(data):
+    """Two or three mutations at a time."""
+    doc = _sample(data.draw(st.sampled_from(sorted(_SAMPLES))))
+    for _ in range(data.draw(st.integers(2, 3))):
+        doc = _mutated(doc, *data.draw(st.sampled_from(_mutations(doc))))
+    _check_contract(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dephasim import (
+    FieldError,
     MemoryConfig,
     TransmissionConfig,
     bang_bang_dephasing_time,
@@ -88,6 +89,16 @@ def test_dephasing_time_edges():
         dephasing_time(J_REF, -0.1, 2e-3)
     with pytest.raises(ValueError):
         bang_bang_dephasing_time(J_REF, 2 * PI / J_REF, 2e-3)
+
+
+def test_closed_forms_at_extreme_values():
+    """Squares that overflow give inf rather than an OverflowError, and
+    products that round to zero give inf rather than a zero division."""
+    assert interval_noise_retention(1e160, 2e-3, 0.25) == 0.0
+    assert dephasing_time(1e160, 0.25, 2e-3) == 0.0
+    assert dephasing_time(J_REF, 5e-324, 2e-3) == math.inf
+    assert decay_contrast(0.5, 1.0, 5e-324) == math.inf
+    assert bang_bang_dephasing_time(1e-320, 1e-5, 2e-3) == math.inf
 
 
 def test_decay_contrast():
@@ -296,6 +307,21 @@ def test_memory_config_validation():
     with pytest.raises(ValueError, match="limit"):
         base_memory(trials=MAX_TRIALS + 1)
     assert base_memory().cycle_counts() == (1, 2, 3, 4, 5)
+
+
+@pytest.mark.parametrize("build, overrides, field", [
+    (base_transmission, {"j": math.inf}, "j"),
+    (base_transmission, {"total_time": 5e-3}, "total_time"),
+    (base_transmission, {"trials": MAX_TRIALS + 1}, "trials"),
+    (base_transmission, {"bang_bang": True, "pulse_spacing": 0.3e-3, "pulses_per_trial": 0},
+     "pulses_per_trial"),
+    (base_memory, {"observation_times": (4e-3, 8e-3)}, "observation_times"),
+    (base_memory, {"seed": -1}, "seed"),
+])
+def test_config_refusals_name_their_field(build, overrides, field):
+    with pytest.raises(ValueError) as info:
+        build(**overrides)
+    assert isinstance(info.value, FieldError) and info.value.field == field
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
