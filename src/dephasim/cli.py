@@ -23,8 +23,8 @@ remove_trivial_phase.  memory params: j_hz, mean_interval, interval_spread
 more: a list of seconds, or {"max_time": t} for the grid of toggle cycles),
 trials, and optionally bang_bang with pulse_spacing.  Frequencies enter as cyclic
 j_hz and are converted to rad/s internally.  Times are seconds.  Any other
-params key is a config error; an option that is missing or null keeps the
-library default.
+params key, or a key of the grid object other than max_time, is a config
+error; an option that is missing or null keeps the library default.
 
 Exit codes: 0 success, 1 config error, 2 runtime error (such as an unwritable
 output directory) or a failed verify check.
@@ -108,6 +108,14 @@ def _options(params: dict, kinds: dict, location: str) -> dict:
             for key, kind in kinds.items() if params.get(key) is not None}
 
 
+def _refuse_unknown(mapping: dict, known, location: str) -> None:
+    """Refuse a key of ``mapping`` not in ``known``; ``location`` is where
+    ``mapping`` sits, empty for the document itself."""
+    for key in mapping:
+        if key not in known:
+            raise ConfigError(f"unknown key '{key}'", f"{location}.{key}" if location else key)
+
+
 def _positive(value: float, key: str, location: str) -> float:
     if value <= 0:
         raise ConfigError(f"{key} must be positive", f"{location}.{key}")
@@ -180,6 +188,7 @@ def _observation_times(params: dict, mean_interval: float, location: str) -> tup
         raise ConfigError("missing required key 'observation_times'", location)
     where = f"{location}.observation_times"
     if isinstance(raw, dict):
+        _refuse_unknown(raw, {"max_time"}, where)
         cycle = 2.0 * _positive(mean_interval, "mean_interval", location)
         cycles = _require(raw, "max_time", float, where) / cycle + 1e-9
         where += ".max_time"
@@ -392,18 +401,14 @@ def _run_verify(frame: pulse.FrameCheck, out: Path) -> int:
 # ---------------------------------------------------------------------------
 
 def run(doc: dict, seed_override: int | None = None, out_override: str | None = None) -> int:
-    for key in doc:
-        if key not in _TOP_KEYS:
-            raise ConfigError(f"unknown key '{key}'", key)
+    _refuse_unknown(doc, _TOP_KEYS, "")
     experiment = doc.get("experiment")
     if not isinstance(experiment, str) or experiment not in _PARAM_KEYS:
         raise ConfigError(f"experiment must be one of: {', '.join(_PARAM_KEYS)}", "experiment")
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object", "params")
-    for key in params:
-        if key not in _PARAM_KEYS[experiment]:
-            raise ConfigError(f"unknown key '{key}'", f"params.{key}")
+    _refuse_unknown(params, _PARAM_KEYS[experiment], "params")
 
     out_dir = doc.get("out_dir", ".")
     if not isinstance(out_dir, str):

@@ -18,6 +18,7 @@ and independent of execution order.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 import warnings
 from dataclasses import dataclass
@@ -505,7 +506,8 @@ def memory_trial_schedule(config: MemoryConfig, intervals: np.ndarray) -> tuple[
 # generator starts from is derived here for a whole block of trials at once,
 # following numpy/random/bit_generator.pyx and pcg64.h step for step.  NEP 19
 # keeps both the SeedSequence and the PCG64 streams stable across numpy
-# versions; the tests check the derivation against default_rng.
+# versions; the tests check the derivation against default_rng.  Transmission
+# computes its draws from these states; memory writes them into one generator.
 
 _MASK32 = 0xFFFFFFFF
 # SeedSequence hash constants
@@ -614,14 +616,41 @@ def _next_doubles(state_hi, state_lo, inc_hi, inc_lo) -> tuple[np.ndarray, ...]:
     return (hi, lo, inc_hi, inc_lo), (out >> np.uint64(11)) * 2.0**-53
 
 
-def _trial_states(seed: int, trials: int):
-    """``bit_generator.state`` of ``default_rng((seed, k))`` for k = 0, 1, ... in turn."""
+def _stream_generator() -> tuple[np.random.Generator, np.ndarray, list[int]]:
+    """A PCG64 generator, a writable view of its state words, and their order.
+
+    ``bit_generator.ctypes.state_address`` points to numpy's ``pcg64_state``,
+    which starts with a pointer to the 128-bit ``{state, inc}``; the view
+    holds those four 64-bit words.  Their order in memory depends on the
+    platform, so it is read off a probe state set through numpy's own setter:
+    view word i holds ``(state_hi, state_lo, inc_hi, inc_lo)[order[i]]``.
+    The setter also clears the buffered 32-bit half, which ``standard_normal``
+    never uses, so writing a trial's words sets the whole state.  The view
+    does not keep ``rng`` alive: use it only while ``rng`` is referenced.
+    """
+    rng = np.random.Generator(np.random.PCG64())
+    address = ctypes.c_void_p.from_address(rng.bit_generator.ctypes.state_address).value
+    words = np.frombuffer((ctypes.c_uint64 * 4).from_address(address), dtype=np.uint64)
+    probe = (0x5EED00A1, 0x5EED00B2, 0x5EED00C3, 0x5EED00D5)
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+        "state": {"state": probe[0] << 64 | probe[1], "inc": probe[2] << 64 | probe[3]},
+    }
+    order = [probe.index(w) if w in probe else -1 for w in words.tolist()]
+    if sorted(order) != [0, 1, 2, 3]:
+        raise RuntimeError(f"unrecognised PCG64 state layout {words.tolist()}")
+    return rng, words, order
+
+
+def _trial_words(seed: int, trials: int, order: list[int]):
+    """The PCG64 state words of ``default_rng((seed, k))`` for k = 0, 1, ...,
+    a row a trial in the memory ``order`` of `_stream_generator`, and
+    `_CHUNK_TRIALS` rows at a time."""
     for block in _blocks(trials, _STREAM_BLOCK):
-        streams = (a.tolist() for a in _trial_streams(seed, block.start, block.stop))
-        for state_hi, state_lo, inc_hi, inc_lo in zip(*streams):
-            yield {"bit_generator": "PCG64",
-                   "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
-                   "has_uint32": 0, "uinteger": 0}
+        streams = _trial_streams(seed, block.start, block.stop)
+        words = np.stack([streams[i] for i in order], axis=1)
+        for chunk in _blocks(len(block), _CHUNK_TRIALS):
+            yield words[chunk.start:chunk.stop]
 
 
 # ---------------------------------------------------------------------------
@@ -682,26 +711,28 @@ def run_transmission(config: TransmissionConfig) -> EnsembleResult:
     )
 
 
-def _toggle_times(rng, states, normals: np.ndarray, mean: float, spread: float,
-                  count: int | None = None, horizon: float = math.inf) -> np.ndarray:
-    """Flip times of the trials whose generators start from ``states``, a row a trial.
+def _toggle_times(rng, state: np.ndarray, words: np.ndarray, normals: np.ndarray, mean: float,
+                  spread: float, count: int | None = None, horizon: float = math.inf) -> np.ndarray:
+    """Flip times of the trials whose generators start from ``words``, a row a trial.
 
     A trial's intervals are ``mean * (1 + spread * xi)`` for the standard
     normals ``xi`` of its stream, skipping non-positive values: ``count`` of
     them, or else enough for their running sum to pass ``horizon``.  A row
     holds their running sums, padded to the widest row with its last flip.
-    ``rng`` first draws each trial's normals into a row of the buffer
-    ``normals``; a row that runs short is drawn again from its state, twice
-    as long.  A block draw equals that many scalar draws, so these are the
-    flips that drawing and resampling one value at a time gives.
+    ``rng`` is set to each trial's stream by writing its row of ``words``
+    into ``state``, the view of `_stream_generator`, and draws the trial's
+    normals into a row of the buffer ``normals``; a row that runs short is
+    drawn again from its words, twice as long.  A block draw equals that
+    many scalar draws, so these are the flips that drawing and resampling
+    one value at a time gives.
     Resampling needs no limit: ``MemoryConfig`` keeps the spread at most
     0.25, where a value is non-positive only for ``xi <= -4``, about one
     draw in 30,000.
     """
-    for row, state in zip(normals, states):
-        rng.bit_generator.state = state
+    for row, trial in zip(normals, words):
+        state[:] = trial
         rng.standard_normal(out=row)
-    values = normals[:len(states)]
+    values = normals[:len(words)]
     # mean * (1 + spread * xi) in the scalar form's order, so values match it bit for bit
     values *= spread
     values += 1.0
@@ -717,7 +748,7 @@ def _toggle_times(rng, states, normals: np.ndarray, mean: float, spread: float,
     need = np.full(rows, count) if count is not None else (flips <= horizon).sum(axis=1) + 1
     last = np.minimum(need, size) - 1
     short = (need > size) | np.isinf(flips[np.arange(rows), last])
-    redrawn = {k: _toggle_times(rng, [states[k]], np.empty((1, 2 * size)), mean, spread,
+    redrawn = {k: _toggle_times(rng, state, words[k:k + 1], np.empty((1, 2 * size)), mean, spread,
                                 count, horizon)[0]
                for k in np.flatnonzero(short)}
     width = max([need[~short].max(initial=0), *map(len, redrawn.values())])
@@ -744,20 +775,19 @@ def run_memory(config: MemoryConfig) -> DecayCurve:
     else:
         count = first = 2 * max(config.cycle_counts())
         snapshot_flips = np.array(config.cycle_counts()) * 2 - 1
-    # one generator, its state replaced by trial k's stream before k's draws
-    rng = np.random.Generator(np.random.PCG64())
+    # one generator, set to trial k's stream by writing k's words before k's draws
+    rng, state, order = _stream_generator()
     normals = np.empty((_CHUNK_TRIALS, _DRAW_BLOCK * math.ceil(first / _DRAW_BLOCK)))
-    states = _trial_states(config.seed, config.trials)
     acc = np.zeros(len(times), dtype=complex)
-    for chunk in _blocks(config.trials, _CHUNK_TRIALS):
+    for words in _trial_words(config.seed, config.trials, order):
         # with the pulse train, a row's padding lies past the horizon
-        toggles = _toggle_times(rng, [next(states) for _ in chunk], normals, config.mean_interval,
+        toggles = _toggle_times(rng, state, words, normals, config.mean_interval,
                                 config.interval_spread, count, horizon)
         if count is None:
-            snapshots = np.broadcast_to(times, (len(chunk), len(times)))
+            snapshots = np.broadcast_to(times, (len(words), len(times)))
         else:
             snapshots = toggles[:, snapshot_flips]
-        pulses = np.broadcast_to(train, (len(chunk), len(train)))
+        pulses = np.broadcast_to(train, (len(words), len(train)))
         acc += phase_walk(config.j, toggles, pulses, signs, snapshots).sum(axis=0)
     magnitudes = np.abs(acc / config.trials)
     fit = fit_exponential(times, magnitudes)

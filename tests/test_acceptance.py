@@ -153,7 +153,7 @@ def test_criterion_5_memory_decay_follows_the_interval_noise_law():
     print(f"  spread 0.25 magnitude at 100 ms: {final_025:.4f} "
           f"(target 0.057 +/- 0.006), {elapsed:.1f} s")
     assert abs(final_025 - 0.057) < 0.006
-    assert elapsed < 2.7
+    assert elapsed < 1.7
 
 
 def test_criterion_6_pulse_train_slows_memory_decay_to_the_sinc_law():
@@ -173,7 +173,7 @@ def test_criterion_6_pulse_train_slows_memory_decay_to_the_sinc_law():
     print(f"\npulse-train memory: magnitude at 60 ms = {final:.4f} "
           f"(target 0.562 +/- 0.02, closed form {predicted:.4f}), {elapsed:.1f} s")
     assert abs(final - 0.562) < 0.02
-    assert elapsed < 0.8
+    assert elapsed < 0.5
 
 
 def test_criterion_7_rotating_frame_residual_shrinks_quadratically():

@@ -304,6 +304,14 @@ def test_unknown_params_keys_are_config_errors(tmp_path, capsys, experiment):
     assert not (tmp_path / "out").exists()
 
 
+def test_unknown_observation_time_grid_keys_are_config_errors(tmp_path, capsys):
+    """A misspelt grid key used to be ignored: the run took max_time alone and exited 0."""
+    doc = memory_doc()
+    doc["params"]["observation_times"] = {"max_time": 0.02, "max_tmie": 1.0}
+    _config_error(tmp_path, capsys, doc, "unknown key", "(at params.observation_times.max_tmie)")
+    assert not (tmp_path / "out").exists()
+
+
 def _top_level_error(tmp_path, monkeypatch, capsys, doc, where):
     """Run ``doc`` without --out from an empty directory: exit 1 at ``where``,
     and nothing written."""

@@ -1,6 +1,5 @@
 import math
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,10 +31,11 @@ from dephasim.experiments import (
     MAX_TRIALS,
     _DRAW_BLOCK,
     _STREAM_BLOCK,
+    _stream_generator,
     _toggle_times,
     _transmission_draws,
-    _trial_states,
     _trial_streams,
+    _trial_words,
 )
 
 from helpers import J_REF, rho_00, window_schedule
@@ -388,10 +388,15 @@ def test_run_memory_deterministic():
     assert not np.array_equal(a.magnitudes, c.magnitudes)
 
 
+def _stub_toggle_times(rng, normals, *args, **kwargs):
+    """`_toggle_times` of one trial on a stub ``rng``, which ignores the state words."""
+    return _toggle_times(rng, np.empty(4, np.uint64), np.zeros((1, 4), np.uint64), normals,
+                         *args, **kwargs)
+
+
 class _NegativeThenFine:
     def __init__(self):
         self.calls = 0
-        self.bit_generator = SimpleNamespace(state=None)
 
     def standard_normal(self, out):
         self.calls += 1
@@ -400,7 +405,7 @@ class _NegativeThenFine:
 
 def test_interval_rejection_resamples():
     rng = _NegativeThenFine()
-    value = _toggle_times(rng, [None], np.empty((1, _DRAW_BLOCK)), 2e-3, 0.25, 1)
+    value = _stub_toggle_times(rng, np.empty((1, _DRAW_BLOCK)), 2e-3, 0.25, 1)
     assert value == pytest.approx(2e-3)
     assert rng.calls == 3
 
@@ -410,7 +415,6 @@ class _Sequence:
 
     def __init__(self, normals):
         self.normals = list(normals)
-        self.bit_generator = SimpleNamespace(state=None)
 
     def standard_normal(self, out):
         head, self.normals = self.normals[:len(out)], self.normals[len(out):]
@@ -419,7 +423,7 @@ class _Sequence:
 
 def test_intervals_run_until_their_sum_passes_the_horizon():
     # 2 ms + 2 ms lands exactly on a 4 ms horizon, which is not past it
-    flips = _toggle_times(_Sequence([]), [None], np.empty((1, _DRAW_BLOCK)), 2e-3, 0.25, horizon=4e-3)
+    flips = _stub_toggle_times(_Sequence([]), np.empty((1, _DRAW_BLOCK)), 2e-3, 0.25, horizon=4e-3)
     assert np.diff(flips[0], prepend=0.0) == pytest.approx([2e-3] * 3)
 
 
@@ -433,14 +437,19 @@ def _one_at_a_time(rng, mean, spread, count=None, horizon=math.inf):
     return np.array(out)
 
 
+def _all_trial_words(seed, trials, order):
+    return np.concatenate(list(_trial_words(seed, trials, order)))
+
+
 @pytest.mark.parametrize("spread", [0.25, 1.5])
 def test_block_draws_equal_one_at_a_time_draws(spread):
     """Same stream, same intervals; at spread 1.5 a quarter of the draws are
     rejected, runs of them span blocks, and the horizon falls mid-block."""
+    rng, state, order = _stream_generator()
+    words = _all_trial_words(9, 40, order)
     for k in range(40):
         for count, horizon in ((50, math.inf), (None, 60e-3), (None, 1e-4)):
-            rng = np.random.default_rng((9, k))
-            block = _toggle_times(rng, [rng.bit_generator.state], np.empty((1, _DRAW_BLOCK)),
+            block = _toggle_times(rng, state, words[k:k + 1], np.empty((1, _DRAW_BLOCK)),
                                   2e-3, spread, count, horizon)[0]
             scalar = np.cumsum(_one_at_a_time(np.random.default_rng((9, k)), 2e-3, spread, count, horizon))
             assert np.array_equal(block, scalar)
@@ -454,11 +463,11 @@ def test_chunked_draws_equal_one_at_a_time_draws(spread, count, horizon, chunk, 
     one up to the chunk's widest row.  70 trials end in a partial chunk; at
     width 8 every first row runs short and is drawn again."""
     trials = 70
-    states = list(_trial_states(5, trials))
-    rng = np.random.Generator(np.random.PCG64())
+    rng, state, order = _stream_generator()
+    words = _all_trial_words(5, trials, order)
     normals = np.empty((chunk, width))
     for block in experiments._blocks(trials, chunk):
-        flips = _toggle_times(rng, states[block.start:block.stop], normals[:len(block)],
+        flips = _toggle_times(rng, state, words[block.start:block.stop], normals[:len(block)],
                               2e-3, spread, count, horizon)
         expected = [np.cumsum(_one_at_a_time(np.random.default_rng((5, k)), 2e-3, spread, count, horizon))
                     for k in block]
@@ -483,9 +492,15 @@ def _oracle_memory_magnitudes(config):
     return np.abs(acc / config.trials)
 
 
-def _default_rng_states(seed, trials):
-    for k in range(trials):
-        yield np.random.default_rng((seed, k)).bit_generator.state
+def _default_rng_words(seed, trials, order):
+    """`_trial_words` read from ``default_rng((seed, k)).bit_generator.state``."""
+    for chunk in experiments._blocks(trials, experiments._CHUNK_TRIALS):
+        rows = []
+        for k in chunk:
+            state, inc = _default_rng_stream(seed, k)
+            halves = (state >> 64, state & (2**64 - 1), inc >> 64, inc & (2**64 - 1))
+            rows.append([halves[i] for i in order])
+        yield np.array(rows, dtype=np.uint64)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -505,7 +520,7 @@ def test_run_memory_matches_the_schedule_oracle(overrides, monkeypatch):
         config = base_memory(**overrides)
     curve = run_memory(config)
     assert np.max(np.abs(curve.magnitudes - _oracle_memory_magnitudes(config))) < 1e-12
-    monkeypatch.setattr(experiments, "_trial_states", _default_rng_states)
+    monkeypatch.setattr(experiments, "_trial_words", _default_rng_words)
     assert np.array_equal(run_memory(config).magnitudes, curve.magnitudes)
 
 
@@ -586,13 +601,35 @@ def test_trial_streams_equal_default_rng_at_random(seed, k):
 
 def test_trial_states_run_across_stream_blocks():
     trials = _STREAM_BLOCK + 5
-    states = list(_trial_states(3, trials))
-    assert states == list(_default_rng_states(3, trials))
-    # a generator set to a derived state draws what default_rng draws
-    rng = np.random.Generator(np.random.PCG64())
-    rng.bit_generator.state = states[-1]
+    rng, state, order = _stream_generator()
+    chunks = list(_trial_words(3, trials, order))
+    assert all(len(words) <= experiments._CHUNK_TRIALS for words in chunks)
+    words = np.concatenate(chunks)
+    assert np.array_equal(words, np.concatenate(list(_default_rng_words(3, trials, order))))
+    # a generator set to derived words draws what default_rng draws
+    state[:] = words[-1]
     assert np.array_equal(rng.standard_normal(40),
                           np.random.default_rng((3, trials - 1)).standard_normal(40))
+
+
+def test_state_word_order_is_a_permutation():
+    assert sorted(_stream_generator()[2]) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**128 + 7])
+def test_written_words_give_default_rng_state_and_draws(seed):
+    """Trial k's words written into the reused generator give, through numpy's
+    own getter, exactly ``default_rng((seed, k))``'s state, the buffered
+    32-bit half included, before and after 64 normals; and the same normals."""
+    ks = [0, 1, _STREAM_BLOCK - 1, _STREAM_BLOCK, _STREAM_BLOCK + 1]
+    rng, state, order = _stream_generator()
+    words = _all_trial_words(seed, ks[-1] + 1, order)
+    for k in ks:
+        expected = np.random.default_rng((seed, k))
+        state[:] = words[k]
+        assert rng.bit_generator.state == expected.bit_generator.state
+        assert np.array_equal(rng.standard_normal(64), expected.standard_normal(64))
+        assert rng.bit_generator.state == expected.bit_generator.state
 
 
 @pytest.mark.parametrize("random_phase", [False, True])
