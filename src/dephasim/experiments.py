@@ -44,7 +44,7 @@ MAX_TRIAL_EVENTS = 100_000
 # Most trials one run may have; also keeps the trial index k to the one
 # 32-bit entropy word that `_trial_streams` derives streams for.
 MAX_TRIALS = 10_000_000
-# Memory trials draw their first normals in multiples of this many.
+# Normals a memory trial draws at first; a run doubles it while rows run short.
 _DRAW_BLOCK = 32
 # Trials per call of the phase-walk kernel; bounds its temporary arrays.
 _CHUNK_TRIALS = 32
@@ -123,6 +123,10 @@ class TransmissionConfig:
                                  f"train of {n} pulses does not fit between noise_start and total_time")
         elif self.pulses_per_trial is not None:
             raise FieldError("pulses_per_trial", "pulses_per_trial only applies with bang_bang")
+        elif self.pulse_spacing is not None:
+            raise FieldError("pulse_spacing", "pulse_spacing only applies with bang_bang")
+        elif self.random_train_phase:
+            raise FieldError("random_train_phase", "random_train_phase only applies with bang_bang")
 
     def pulse_count(self) -> int:
         """Length of the pi-pulse train.
@@ -203,7 +207,7 @@ class MemoryConfig:
         _check_phase(self.j, horizon, "observation_times")
         # the flips a trial draws pass the horizon by about one interval, and
         # twice the horizon only at odds below 1e-20 (a mean xi of 4 over at
-        # least 6 draws); a row whose needed flip overflows is redrawn forever
+        # least 6 draws); a chunk whose needed flip overflows is drawn again forever
         if not math.isfinite(2.0 * horizon):
             raise FieldError("observation_times", "observation times must stay below half the largest float")
         cycle = 2.0 * self.mean_interval
@@ -616,39 +620,41 @@ def _next_doubles(state_hi, state_lo, inc_hi, inc_lo) -> tuple[np.ndarray, ...]:
     return (hi, lo, inc_hi, inc_lo), (out >> np.uint64(11)) * 2.0**-53
 
 
-def _stream_generator() -> tuple[np.random.Generator, np.ndarray, list[int]]:
-    """A PCG64 generator, a writable view of its state words, and their order.
+def _stream_generator() -> tuple[np.random.Generator, np.ndarray]:
+    """A PCG64 generator and a writable ``(2, 2)`` view of its state words.
 
     ``bit_generator.ctypes.state_address`` points to numpy's ``pcg64_state``,
-    which starts with a pointer to the 128-bit ``{state, inc}``; the view
-    holds those four 64-bit words.  Their order in memory depends on the
-    platform, so it is read off a probe state set through numpy's own setter:
-    view word i holds ``(state_hi, state_lo, inc_hi, inc_lo)[order[i]]``.
-    The setter also clears the buffered 32-bit half, which ``standard_normal``
-    never uses, so writing a trial's words sets the whole state.  The view
-    does not keep ``rng`` alive: use it only while ``rng`` is referenced.
+    which starts with a pointer to the 128-bit ``{state, inc}``.  The view's
+    rows are the state and the increment, its columns their high and low
+    64-bit words.  A ``pcg128_t`` is a native 128-bit integer (low word first
+    on little-endian hosts) or a ``{high, low}`` struct, so the columns are
+    reversed when a probe state, set through numpy's own setter, reads back
+    low word first.  The setter also clears the buffered 32-bit half, which
+    ``standard_normal`` never uses, so writing a trial's words sets the whole
+    state.  The view does not keep ``rng`` alive: use it only while ``rng``
+    is referenced.
     """
     rng = np.random.Generator(np.random.PCG64())
     address = ctypes.c_void_p.from_address(rng.bit_generator.ctypes.state_address).value
-    words = np.frombuffer((ctypes.c_uint64 * 4).from_address(address), dtype=np.uint64)
-    probe = (0x5EED00A1, 0x5EED00B2, 0x5EED00C3, 0x5EED00D5)
+    state = np.frombuffer((ctypes.c_uint64 * 4).from_address(address), dtype=np.uint64).reshape(2, 2)
+    probe = [[0x5EED00A1, 0x5EED00B2], [0x5EED00C3, 0x5EED00D5]]
     rng.bit_generator.state = {
         "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-        "state": {"state": probe[0] << 64 | probe[1], "inc": probe[2] << 64 | probe[3]},
+        "state": {"state": probe[0][0] << 64 | probe[0][1], "inc": probe[1][0] << 64 | probe[1][1]},
     }
-    order = [probe.index(w) if w in probe else -1 for w in words.tolist()]
-    if sorted(order) != [0, 1, 2, 3]:
-        raise RuntimeError(f"unrecognised PCG64 state layout {words.tolist()}")
-    return rng, words, order
+    if state.tolist() != probe:
+        state = state[:, ::-1]
+    if state.tolist() != probe:
+        raise RuntimeError(f"unrecognised PCG64 state layout {state.tolist()}")
+    return rng, state
 
 
-def _trial_words(seed: int, trials: int, order: list[int]):
+def _trial_words(seed: int, trials: int):
     """The PCG64 state words of ``default_rng((seed, k))`` for k = 0, 1, ...,
-    a row a trial in the memory ``order`` of `_stream_generator`, and
-    `_CHUNK_TRIALS` rows at a time."""
+    laid out like the view of `_stream_generator`, in ``(rows, 2, 2)`` arrays
+    of `_CHUNK_TRIALS` rows."""
     for block in _blocks(trials, _STREAM_BLOCK):
-        streams = _trial_streams(seed, block.start, block.stop)
-        words = np.stack([streams[i] for i in order], axis=1)
+        words = np.stack(_trial_streams(seed, block.start, block.stop), axis=1).reshape(-1, 2, 2)
         for chunk in _blocks(len(block), _CHUNK_TRIALS):
             yield words[chunk.start:chunk.stop]
 
@@ -711,28 +717,28 @@ def run_transmission(config: TransmissionConfig) -> EnsembleResult:
     )
 
 
-def _toggle_times(rng, state: np.ndarray, words: np.ndarray, normals: np.ndarray, mean: float,
-                  spread: float, count: int | None = None, horizon: float = math.inf) -> np.ndarray:
-    """Flip times of the trials whose generators start from ``words``, a row a trial.
+def _toggle_times(rng, state: np.ndarray, words: np.ndarray, width: int, mean: float, spread: float,
+                  count: int | None = None, horizon: float = math.inf) -> tuple[np.ndarray, int]:
+    """Flip times of the trials whose generators start from ``words``, a row a
+    trial, and the width they were drawn at.
 
     A trial's intervals are ``mean * (1 + spread * xi)`` for the standard
     normals ``xi`` of its stream, skipping non-positive values: ``count`` of
     them, or else enough for their running sum to pass ``horizon``.  A row
     holds their running sums, padded to the widest row with its last flip.
-    ``rng`` is set to each trial's stream by writing its row of ``words``
-    into ``state``, the view of `_stream_generator`, and draws the trial's
-    normals into a row of the buffer ``normals``; a row that runs short is
-    drawn again from its words, twice as long.  A block draw equals that
-    many scalar draws, so these are the flips that drawing and resampling
-    one value at a time gives.
+    ``rng`` is set to each trial's stream by writing its words into
+    ``state``, the view of `_stream_generator`, and draws ``width`` normals;
+    if any row runs short, the whole chunk is drawn again twice as wide.  A
+    block draw equals that many scalar draws, so these are the flips that
+    drawing and resampling one value at a time gives.
     Resampling needs no limit: ``MemoryConfig`` keeps the spread at most
     0.25, where a value is non-positive only for ``xi <= -4``, about one
     draw in 30,000.
     """
-    for row, trial in zip(normals, words):
+    values = np.empty((len(words), width))
+    for row, trial in zip(values, words):
         state[:] = trial
         rng.standard_normal(out=row)
-    values = normals[:len(words)]
     # mean * (1 + spread * xi) in the scalar form's order, so values match it bit for bit
     values *= spread
     values += 1.0
@@ -744,18 +750,10 @@ def _toggle_times(rng, state: np.ndarray, words: np.ndarray, normals: np.ndarray
         values = np.take_along_axis(values, np.argsort(skipped, axis=1, kind="stable"), axis=1)
         values[values <= 0.0] = np.inf
     flips = np.cumsum(values, axis=1, out=values)
-    rows, size = flips.shape
-    need = np.full(rows, count) if count is not None else (flips <= horizon).sum(axis=1) + 1
-    last = np.minimum(need, size) - 1
-    short = (need > size) | np.isinf(flips[np.arange(rows), last])
-    redrawn = {k: _toggle_times(rng, state, words[k:k + 1], np.empty((1, 2 * size)), mean, spread,
-                                count, horizon)[0]
-               for k in np.flatnonzero(short)}
-    width = max([need[~short].max(initial=0), *map(len, redrawn.values())])
-    padded = np.take_along_axis(flips, np.minimum(np.arange(width), last[:, None]), axis=1)
-    for k, row in redrawn.items():
-        padded[k] = row[np.minimum(np.arange(width), len(row) - 1)]
-    return padded
+    need = np.full(len(words), count) if count is not None else (flips <= horizon).sum(axis=1) + 1
+    if need.max() > width or np.isinf(flips[np.arange(len(words)), need - 1]).any():
+        return _toggle_times(rng, state, words, 2 * width, mean, spread, count, horizon)
+    return np.take_along_axis(flips, np.minimum(np.arange(need.max()), need[:, None] - 1), axis=1), width
 
 
 def run_memory(config: MemoryConfig) -> DecayCurve:
@@ -767,22 +765,18 @@ def run_memory(config: MemoryConfig) -> DecayCurve:
     if config.bang_bang:
         train = _memory_train(config.pulse_spacing, horizon)
         signs = pi_pulse_signs(cyclic_axes(len(train)))
-        # a row needs the flips up to the horizon and one past it, about n + 1
-        # with a spread of spread * sqrt(n) flips; with eight times that to
-        # spare a row runs short about once in 1e15 trials
-        n = horizon / config.mean_interval
-        first = n + 8 * config.interval_spread * math.sqrt(n) + 2
     else:
-        count = first = 2 * max(config.cycle_counts())
+        count = 2 * max(config.cycle_counts())
         snapshot_flips = np.array(config.cycle_counts()) * 2 - 1
     # one generator, set to trial k's stream by writing k's words before k's draws
-    rng, state, order = _stream_generator()
-    normals = np.empty((_CHUNK_TRIALS, _DRAW_BLOCK * math.ceil(first / _DRAW_BLOCK)))
+    rng, state = _stream_generator()
+    # the width chunks draw at; it only grows, so a chunk is drawn twice only where it does
+    width = _DRAW_BLOCK
     acc = np.zeros(len(times), dtype=complex)
-    for words in _trial_words(config.seed, config.trials, order):
+    for words in _trial_words(config.seed, config.trials):
         # with the pulse train, a row's padding lies past the horizon
-        toggles = _toggle_times(rng, state, words, normals, config.mean_interval,
-                                config.interval_spread, count, horizon)
+        toggles, width = _toggle_times(rng, state, words, width, config.mean_interval,
+                                       config.interval_spread, count, horizon)
         if count is None:
             snapshots = np.broadcast_to(times, (len(words), len(times)))
         else:

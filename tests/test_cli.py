@@ -386,6 +386,8 @@ _RULES = [
     ("train_fit", "transmission", {**_TRAIN, "total_time": 6e-3}, "params.total_time"),
     ("set_train_fit", "transmission", {**_TRAIN, "pulses_per_trial": 32}, "params.pulses_per_trial"),
     ("train_without_bang_bang", "transmission", {"pulses_per_trial": 16}, "params.pulses_per_trial"),
+    ("spacing_without_bang_bang", "transmission", {"pulse_spacing": 0.3e-3}, "params.pulse_spacing"),
+    ("phase_without_bang_bang", "transmission", {"random_train_phase": True}, "params.random_train_phase"),
     ("positive_j", "memory", {"j_hz": -5}, "params.j_hz"),
     ("mean_interval", "memory", {"mean_interval": -2e-3, "observation_times": [4e-3, 8e-3, 12e-3]},
      "params.mean_interval"),

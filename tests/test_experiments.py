@@ -317,6 +317,9 @@ def test_memory_config_validation():
      "pulses_per_trial"),
     (base_memory, {"observation_times": (4e-3, 8e-3)}, "observation_times"),
     (base_memory, {"seed": -1}, "seed"),
+    # both were accepted and ignored without the train
+    (base_transmission, {"pulse_spacing": 3e-4}, "pulse_spacing"),
+    (base_transmission, {"random_train_phase": True}, "random_train_phase"),
 ])
 def test_config_refusals_name_their_field(build, overrides, field):
     with pytest.raises(ValueError) as info:
@@ -388,10 +391,10 @@ def test_run_memory_deterministic():
     assert not np.array_equal(a.magnitudes, c.magnitudes)
 
 
-def _stub_toggle_times(rng, normals, *args, **kwargs):
+def _stub_toggle_times(rng, *args, **kwargs):
     """`_toggle_times` of one trial on a stub ``rng``, which ignores the state words."""
-    return _toggle_times(rng, np.empty(4, np.uint64), np.zeros((1, 4), np.uint64), normals,
-                         *args, **kwargs)
+    return _toggle_times(rng, np.empty((2, 2), np.uint64), np.zeros((1, 2, 2), np.uint64),
+                         _DRAW_BLOCK, *args, **kwargs)
 
 
 class _NegativeThenFine:
@@ -405,9 +408,10 @@ class _NegativeThenFine:
 
 def test_interval_rejection_resamples():
     rng = _NegativeThenFine()
-    value = _stub_toggle_times(rng, np.empty((1, _DRAW_BLOCK)), 2e-3, 0.25, 1)
+    value, width = _stub_toggle_times(rng, 2e-3, 0.25, 1)
     assert value == pytest.approx(2e-3)
     assert rng.calls == 3
+    assert width == 4 * _DRAW_BLOCK
 
 
 class _Sequence:
@@ -423,7 +427,7 @@ class _Sequence:
 
 def test_intervals_run_until_their_sum_passes_the_horizon():
     # 2 ms + 2 ms lands exactly on a 4 ms horizon, which is not past it
-    flips = _stub_toggle_times(_Sequence([]), np.empty((1, _DRAW_BLOCK)), 2e-3, 0.25, horizon=4e-3)
+    flips, _ = _stub_toggle_times(_Sequence([]), 2e-3, 0.25, horizon=4e-3)
     assert np.diff(flips[0], prepend=0.0) == pytest.approx([2e-3] * 3)
 
 
@@ -437,20 +441,31 @@ def _one_at_a_time(rng, mean, spread, count=None, horizon=math.inf):
     return np.array(out)
 
 
-def _all_trial_words(seed, trials, order):
-    return np.concatenate(list(_trial_words(seed, trials, order)))
+class _Counted:
+    """A stream that counts the normals drawn from it."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, 0
+
+    def standard_normal(self):
+        self.draws += 1
+        return self.rng.standard_normal()
+
+
+def _all_trial_words(seed, trials):
+    return np.concatenate(list(_trial_words(seed, trials)))
 
 
 @pytest.mark.parametrize("spread", [0.25, 1.5])
 def test_block_draws_equal_one_at_a_time_draws(spread):
     """Same stream, same intervals; at spread 1.5 a quarter of the draws are
     rejected, runs of them span blocks, and the horizon falls mid-block."""
-    rng, state, order = _stream_generator()
-    words = _all_trial_words(9, 40, order)
+    rng, state = _stream_generator()
+    words = _all_trial_words(9, 40)
     for k in range(40):
         for count, horizon in ((50, math.inf), (None, 60e-3), (None, 1e-4)):
-            block = _toggle_times(rng, state, words[k:k + 1], np.empty((1, _DRAW_BLOCK)),
-                                  2e-3, spread, count, horizon)[0]
+            block = _toggle_times(rng, state, words[k:k + 1], _DRAW_BLOCK,
+                                  2e-3, spread, count, horizon)[0][0]
             scalar = np.cumsum(_one_at_a_time(np.random.default_rng((9, k)), 2e-3, spread, count, horizon))
             assert np.array_equal(block, scalar)
 
@@ -461,16 +476,20 @@ def test_block_draws_equal_one_at_a_time_draws(spread):
 def test_chunked_draws_equal_one_at_a_time_draws(spread, count, horizon, chunk, width):
     """Each row of a chunk holds its trial's flips, then repeats of its last
     one up to the chunk's widest row.  70 trials end in a partial chunk; at
-    width 8 every first row runs short and is drawn again."""
+    width 8 every chunk runs short and is drawn again.  The width that comes
+    back is the first doubling at which no trial needs more normals."""
     trials = 70
-    rng, state, order = _stream_generator()
-    words = _all_trial_words(5, trials, order)
-    normals = np.empty((chunk, width))
+    rng, state = _stream_generator()
+    words = _all_trial_words(5, trials)
     for block in experiments._blocks(trials, chunk):
-        flips = _toggle_times(rng, state, words[block.start:block.stop], normals[:len(block)],
-                              2e-3, spread, count, horizon)
-        expected = [np.cumsum(_one_at_a_time(np.random.default_rng((5, k)), 2e-3, spread, count, horizon))
-                    for k in block]
+        flips, drawn = _toggle_times(rng, state, words[block.start:block.stop], width,
+                                     2e-3, spread, count, horizon)
+        streams = [_Counted(np.random.default_rng((5, k))) for k in block]
+        expected = [np.cumsum(_one_at_a_time(stream, 2e-3, spread, count, horizon)) for stream in streams]
+        needed = width
+        while needed < max(stream.draws for stream in streams):
+            needed *= 2
+        assert drawn == needed
         assert flips.shape == (len(block), max(map(len, expected)))
         for row, scalar in zip(flips, expected):
             assert np.array_equal(row[:len(scalar)], scalar)
@@ -492,15 +511,15 @@ def _oracle_memory_magnitudes(config):
     return np.abs(acc / config.trials)
 
 
-def _default_rng_words(seed, trials, order):
+def _default_rng_words(seed, trials):
     """`_trial_words` read from ``default_rng((seed, k)).bit_generator.state``."""
     for chunk in experiments._blocks(trials, experiments._CHUNK_TRIALS):
-        rows = []
-        for k in chunk:
-            state, inc = _default_rng_stream(seed, k)
-            halves = (state >> 64, state & (2**64 - 1), inc >> 64, inc & (2**64 - 1))
-            rows.append([halves[i] for i in order])
-        yield np.array(rows, dtype=np.uint64)
+        yield np.array([_as_words(*_default_rng_stream(seed, k)) for k in chunk], dtype=np.uint64)
+
+
+def _as_words(state, inc):
+    mask = 2**64 - 1
+    return [[state >> 64, state & mask], [inc >> 64, inc & mask]]
 
 
 @pytest.mark.parametrize("overrides", [
@@ -522,6 +541,24 @@ def test_run_memory_matches_the_schedule_oracle(overrides, monkeypatch):
     assert np.max(np.abs(curve.magnitudes - _oracle_memory_magnitudes(config))) < 1e-12
     monkeypatch.setattr(experiments, "_trial_words", _default_rng_words)
     assert np.array_equal(run_memory(config).magnitudes, curve.magnitudes)
+
+
+@pytest.mark.parametrize("overrides", [{}, {"bang_bang": True, "pulse_spacing": 0.5e-3}],
+                         ids=["plain", "pulsed"])
+def test_draw_width_never_changes_a_result(overrides, monkeypatch):
+    """Starting to draw at 1, 32 or 256 normals a trial gives the same run
+    bit for bit.  At spread 0.25 a value is skipped about once in 30,000
+    draws; here trial 1072, the last, skips its eleventh, in a partial chunk."""
+    assert np.random.default_rng((1, 1072)).standard_normal(11)[10] <= -4
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        config = base_memory(interval_spread=0.25, trials=1073,
+                             observation_times=tuple(4e-3 * k for k in range(1, 11)), **overrides)
+    runs = []
+    for block in (1, 32, 256):
+        monkeypatch.setattr(experiments, "_DRAW_BLOCK", block)
+        runs.append(run_memory(config).magnitudes)
+    assert all(np.array_equal(run, runs[0]) for run in runs[1:])
 
 
 def test_memory_config_needs_three_observation_times():
@@ -601,19 +638,25 @@ def test_trial_streams_equal_default_rng_at_random(seed, k):
 
 def test_trial_states_run_across_stream_blocks():
     trials = _STREAM_BLOCK + 5
-    rng, state, order = _stream_generator()
-    chunks = list(_trial_words(3, trials, order))
+    rng, state = _stream_generator()
+    chunks = list(_trial_words(3, trials))
     assert all(len(words) <= experiments._CHUNK_TRIALS for words in chunks)
     words = np.concatenate(chunks)
-    assert np.array_equal(words, np.concatenate(list(_default_rng_words(3, trials, order))))
+    assert np.array_equal(words, np.concatenate(list(_default_rng_words(3, trials))))
     # a generator set to derived words draws what default_rng draws
     state[:] = words[-1]
     assert np.array_equal(rng.standard_normal(40),
                           np.random.default_rng((3, trials - 1)).standard_normal(40))
 
 
-def test_state_word_order_is_a_permutation():
-    assert sorted(_stream_generator()[2]) == [0, 1, 2, 3]
+def test_state_view_reads_numpy_state():
+    """The view reads the probe state numpy's own setter wrote, and a state
+    set later, as ``[[state_hi, state_lo], [inc_hi, inc_lo]]``."""
+    rng, state = _stream_generator()
+    probe = rng.bit_generator.state["state"]
+    assert state.tolist() == _as_words(probe["state"], probe["inc"])
+    rng.bit_generator.state = np.random.default_rng((3, 7)).bit_generator.state
+    assert state.tolist() == _as_words(*_default_rng_stream(3, 7))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**128 + 7])
@@ -622,8 +665,8 @@ def test_written_words_give_default_rng_state_and_draws(seed):
     own getter, exactly ``default_rng((seed, k))``'s state, the buffered
     32-bit half included, before and after 64 normals; and the same normals."""
     ks = [0, 1, _STREAM_BLOCK - 1, _STREAM_BLOCK, _STREAM_BLOCK + 1]
-    rng, state, order = _stream_generator()
-    words = _all_trial_words(seed, ks[-1] + 1, order)
+    rng, state = _stream_generator()
+    words = _all_trial_words(seed, ks[-1] + 1)
     for k in ks:
         expected = np.random.default_rng((seed, k))
         state[:] = words[k]
