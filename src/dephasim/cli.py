@@ -36,6 +36,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -143,14 +144,17 @@ _PARAM_KEYS = {
 _FIELD_LOCATIONS = {"j": "params.j_hz", "seed": "seed"}
 
 
+def _location(field: str, locations: dict) -> str:
+    """Where ``field`` sits: from ``locations``, then ``_FIELD_LOCATIONS``."""
+    return locations.get(field) or _FIELD_LOCATIONS.get(field, f"params.{field}")
+
+
 def _build(cls, locations: dict, **fields):
-    """``cls(**fields)``; a refusal is a config error at its field's location,
-    taken from ``locations``, then ``_FIELD_LOCATIONS``."""
+    """``cls(**fields)``; a refusal is a config error at its field's `_location`."""
     try:
         return cls(**fields)
     except experiments.FieldError as exc:
-        where = locations.get(exc.field) or _FIELD_LOCATIONS.get(exc.field, f"params.{exc.field}")
-        raise ConfigError(str(exc), where) from None
+        raise ConfigError(str(exc), _location(exc.field, locations)) from None
 
 
 def _build_transmission(params: dict, seed: int) -> experiments.TransmissionConfig:
@@ -414,14 +418,18 @@ def run(doc: dict, seed_override: int | None = None, out_override: str | None = 
     if not isinstance(out_dir, str):
         raise ConfigError("out_dir must be a string", "out_dir")
 
-    # every config is built, so every config error raised, before anything is written
+    # every config is built, so every config error raised, before anything is written or warned
     if experiment in ("transmission", "memory"):
         seed = seed_override if seed_override is not None else doc.get("seed")
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ConfigError("an integer seed is required", "seed")
         build, runner = ((_build_transmission, _run_transmission) if experiment == "transmission"
                          else (_build_memory, _run_memory))
-        task = partial(runner, build(params, seed))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default", experiments.FieldWarning)   # once for all spreads
+            task = partial(runner, build(params, seed))
+        for w in caught:
+            print(f"warning: {w.message} (at {_location(w.message.field, {})})", file=sys.stderr)
     elif experiment == "channel-demo":
         task = partial(_run_channel_demo, _flip_probabilities(params))
     else:

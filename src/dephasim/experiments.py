@@ -46,8 +46,10 @@ MAX_TRIAL_EVENTS = 100_000
 MAX_TRIALS = 10_000_000
 # Normals a memory trial draws at first; a run doubles it while rows run short.
 _DRAW_BLOCK = 32
-# Trials per call of the phase-walk kernel; bounds its temporary arrays.
-_CHUNK_TRIALS = 32
+# Trials x events entries a phase-walk call is sized for (a lone trial may hold more); bounds its arrays.
+_CHUNK_EVENTS = 8192
+# Memory trials summed as one group, whatever the rows per call; fixes the sum's order and last bits.
+_SUM_TRIALS = 32
 # Trials whose random streams are derived at a time; bounds the derivation's
 # arrays.
 _STREAM_BLOCK = 4096
@@ -58,6 +60,14 @@ PI = math.pi
 class FieldError(ValueError):
     """A refused config.  ``field`` names the field to change; a rule over
     several fields names the one a user would change."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+class FieldWarning(UserWarning):
+    """A config that runs, but whose ``field`` makes a closed form approximate."""
 
     def __init__(self, field: str, message: str):
         super().__init__(message)
@@ -186,12 +196,10 @@ class MemoryConfig:
             if not self.j * self.pulse_spacing < 2 * PI:
                 raise FieldError("pulse_spacing", "pulse train too sparse: need j * pulse_spacing < 2 pi")
             if self.pulse_spacing >= self.interval_spread * self.mean_interval:
-                warnings.warn(
-                    "pulse_spacing is not small against the interval jitter; "
-                    "the closed-form retention factor becomes approximate",
-                    # past the dataclass __init__, to the code that built the config
-                    stacklevel=3,
-                )
+                # stacklevel 3: past the dataclass __init__, to the code that built the config
+                warnings.warn(FieldWarning("pulse_spacing", "pulse_spacing is not small against the interval "
+                                           "jitter; the closed-form retention factor becomes approximate"),
+                              stacklevel=3)
         elif self.pulse_spacing is not None:
             raise FieldError("pulse_spacing", "pulse_spacing only applies with bang_bang")
         # toggles up to the horizon (their mean number with bang_bang) and the train
@@ -649,13 +657,13 @@ def _stream_generator() -> tuple[np.random.Generator, np.ndarray]:
     return rng, state
 
 
-def _trial_words(seed: int, trials: int):
+def _trial_words(seed: int, trials: int, rows: int):
     """The PCG64 state words of ``default_rng((seed, k))`` for k = 0, 1, ...,
-    laid out like the view of `_stream_generator`, in ``(rows, 2, 2)`` arrays
-    of `_CHUNK_TRIALS` rows."""
+    laid out like the view of `_stream_generator`, in ``(rows, 2, 2)`` arrays;
+    a chunk holds fewer rows only where a stream block or the run ends."""
     for block in _blocks(trials, _STREAM_BLOCK):
         words = np.stack(_trial_streams(seed, block.start, block.stop), axis=1).reshape(-1, 2, 2)
-        for chunk in _blocks(len(block), _CHUNK_TRIALS):
+        for chunk in _blocks(len(block), rows):
             yield words[chunk.start:chunk.stop]
 
 
@@ -696,11 +704,12 @@ def run_transmission(config: TransmissionConfig) -> EnsembleResult:
         n_pulses = config.pulse_count()
         steps = np.arange(n_pulses) * config.pulse_spacing
         signs = pi_pulse_signs(cyclic_axes(n_pulses))
+    per_call = max(1, _CHUNK_EVENTS // (3 + len(steps)))   # two toggles, a snapshot, the train
     amps = np.empty(config.trials, dtype=complex)
     for block in _blocks(config.trials, _STREAM_BLOCK):
         windows, offsets = _transmission_draws(config, block.start, block.stop)
         block_amps = amps[block.start:block.stop]
-        for chunk in _blocks(len(block), _CHUNK_TRIALS):
+        for chunk in _blocks(len(block), per_call):
             rows = slice(chunk.start, chunk.stop)
             toggles = np.stack((np.full(len(chunk), config.noise_start),
                                 config.noise_start + windows[rows]), axis=1)
@@ -768,12 +777,17 @@ def run_memory(config: MemoryConfig) -> DecayCurve:
     else:
         count = 2 * max(config.cycle_counts())
         snapshot_flips = np.array(config.cycle_counts()) * 2 - 1
+    # snapshots, train and expected toggles; a draw chunk is a kernel chunk
+    per_call = max(1, _CHUNK_EVENTS // (len(times) + len(train) + math.ceil(horizon / config.mean_interval)))
     # one generator, set to trial k's stream by writing k's words before k's draws
     rng, state = _stream_generator()
     # the width chunks draw at; it only grows, so a chunk is drawn twice only where it does
     width = _DRAW_BLOCK
+    while count is not None and width < count:
+        width *= 2
     acc = np.zeros(len(times), dtype=complex)
-    for words in _trial_words(config.seed, config.trials):
+    held = np.empty((0, len(times)), dtype=complex)   # amplitudes of a group not yet summed
+    for words in _trial_words(config.seed, config.trials, per_call):
         # with the pulse train, a row's padding lies past the horizon
         toggles, width = _toggle_times(rng, state, words, width, config.mean_interval,
                                        config.interval_spread, count, horizon)
@@ -782,7 +796,11 @@ def run_memory(config: MemoryConfig) -> DecayCurve:
         else:
             snapshots = toggles[:, snapshot_flips]
         pulses = np.broadcast_to(train, (len(words), len(train)))
-        acc += phase_walk(config.j, toggles, pulses, signs, snapshots).sum(axis=0)
+        held = np.concatenate((held, phase_walk(config.j, toggles, pulses, signs, snapshots)))
+        *groups, held = np.split(held, range(_SUM_TRIALS, len(held) + 1, _SUM_TRIALS))
+        for group in groups:
+            acc += group.sum(axis=0)
+    acc += held.sum(axis=0)
     magnitudes = np.abs(acc / config.trials)
     fit = fit_exponential(times, magnitudes)
     return DecayCurve(times=times, magnitudes=magnitudes, fit=fit)

@@ -535,6 +535,30 @@ def _check_contract(doc: dict) -> None:
         assert code != 2 or doc.get("experiment") == "verify", (stderr.getvalue(), doc)
 
 
+COARSE_SPACING = ("warning: pulse_spacing is not small against the interval jitter; the "
+                  "closed-form retention factor becomes approximate (at params.pulse_spacing)")
+
+
+@pytest.mark.parametrize("spreads", [0.25, [0.25, 0.24]], ids=["one", "sweep"])
+def test_coarse_spacing_warning_is_one_line(tmp_path, capsys, spreads):
+    """Once a run, however many spreads warn, and without a source line."""
+    doc = _sample("memory_pulsed.json")
+    doc["params"]["interval_spread"] = spreads
+    assert main([write_json(tmp_path / "c.json", doc), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err.splitlines() == [COARSE_SPACING]
+
+
+def test_config_error_after_a_warning_is_the_only_line(tmp_path, capsys):
+    """Warnings wait until every config is built, so a later spread's
+    refusal still prints exactly one line and writes nothing."""
+    doc = _sample("memory_pulsed.json")
+    doc["params"]["interval_spread"] = [0.25, 0.3]
+    assert main([write_json(tmp_path / "c.json", doc), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error") and "interval_spread[1]" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name", sorted(_SAMPLES))
 def test_every_single_mutation_keeps_the_cli_contract(name):
     doc = _sample(name)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from dephasim import (
     interval_noise_retention,
     memory_trial_schedule,
     partial_trace_env,
+    phase_walk,
     run_memory,
     run_transmission,
     simulate_amplitudes,
@@ -28,6 +30,7 @@ from dephasim import (
 )
 from dephasim import experiments
 from dephasim.experiments import (
+    MAX_TRIAL_EVENTS,
     MAX_TRIALS,
     _DRAW_BLOCK,
     _STREAM_BLOCK,
@@ -453,7 +456,7 @@ class _Counted:
 
 
 def _all_trial_words(seed, trials):
-    return np.concatenate(list(_trial_words(seed, trials)))
+    return np.concatenate(list(_trial_words(seed, trials, 32)))
 
 
 @pytest.mark.parametrize("spread", [0.25, 1.5])
@@ -511,9 +514,9 @@ def _oracle_memory_magnitudes(config):
     return np.abs(acc / config.trials)
 
 
-def _default_rng_words(seed, trials):
+def _default_rng_words(seed, trials, rows):
     """`_trial_words` read from ``default_rng((seed, k)).bit_generator.state``."""
-    for chunk in experiments._blocks(trials, experiments._CHUNK_TRIALS):
+    for chunk in experiments._blocks(trials, rows):
         yield np.array([_as_words(*_default_rng_stream(seed, k)) for k in chunk], dtype=np.uint64)
 
 
@@ -559,6 +562,107 @@ def test_draw_width_never_changes_a_result(overrides, monkeypatch):
         monkeypatch.setattr(experiments, "_DRAW_BLOCK", block)
         runs.append(run_memory(config).magnitudes)
     assert all(np.array_equal(run, runs[0]) for run in runs[1:])
+
+
+# entries a kernel call may hold: one trial a call, the default, a whole stream block a call
+ENTRY_BUDGETS = [1, experiments._CHUNK_EVENTS, _STREAM_BLOCK * MAX_TRIAL_EVENTS]
+TRANSMISSION_SHAPES = {
+    "free": {},
+    "locked": {"total_time": 9e-3, "bang_bang": True, "pulse_spacing": 0.3e-3},
+    "random-phase": {"total_time": 9e-3, "bang_bang": True, "pulse_spacing": 0.3e-3,
+                     "random_train_phase": True},
+}
+MEMORY_SHAPES = {"plain": {}, "pulsed": {"bang_bang": True, "pulse_spacing": 0.5e-3}}
+
+
+def _memory_config(shape, trials):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return base_memory(trials=trials, observation_times=tuple(4e-3 * k for k in range(1, 11)),
+                           **MEMORY_SHAPES[shape])
+
+
+@pytest.mark.parametrize("shape", sorted(TRANSMISSION_SHAPES))
+def test_transmission_does_not_depend_on_the_entries_per_call(shape, monkeypatch):
+    """4,101 trials cross a stream block's edge."""
+    config = base_transmission(trials=_STREAM_BLOCK + 5, **TRANSMISSION_SHAPES[shape])
+    runs = []
+    for budget in ENTRY_BUDGETS:
+        monkeypatch.setattr(experiments, "_CHUNK_EVENTS", budget)
+        runs.append(run_transmission(config).amplitudes)
+    assert all(np.array_equal(run, runs[0]) for run in runs[1:])
+
+
+@pytest.mark.parametrize("shape", sorted(MEMORY_SHAPES))
+def test_memory_does_not_depend_on_the_entries_per_call(shape, monkeypatch):
+    """The sum over trials runs in the same groups whatever the rows per call;
+    1,000 trials end in a partial group."""
+    config = _memory_config(shape, 1000)
+    runs = []
+    for budget in ENTRY_BUDGETS:
+        monkeypatch.setattr(experiments, "_CHUNK_EVENTS", budget)
+        runs.append(run_memory(config).magnitudes)
+    assert all(np.array_equal(run, runs[0]) for run in runs[1:])
+
+
+def _recording_walk(monkeypatch):
+    """Patch the kernel to record each call's trials and entries a trial."""
+    calls = []
+
+    def recording(j, toggles, pulses, signs, snapshots):
+        calls.append((len(snapshots), toggles.shape[1] + pulses.shape[1] + snapshots.shape[1]))
+        return phase_walk(j, toggles, pulses, signs, snapshots)
+
+    monkeypatch.setattr(experiments, "phase_walk", recording)
+    return calls
+
+
+@pytest.mark.parametrize("budget", [100, experiments._CHUNK_EVENTS])
+def test_each_kernel_call_holds_at_most_the_entry_budget(budget, monkeypatch):
+    """A call holds at most the budget's entries, or one trial.  A pulsed
+    memory row holds the toggles its trial drew before the horizon, padded
+    to the widest row of its call, while rows are sized on their mean
+    number; so those calls get a tenth of slack."""
+    monkeypatch.setattr(experiments, "_CHUNK_EVENTS", budget)
+    calls = _recording_walk(monkeypatch)
+    for shape in TRANSMISSION_SHAPES.values():
+        run_transmission(base_transmission(trials=_STREAM_BLOCK + 5, **shape))
+    run_memory(_memory_config("plain", 300))
+    assert all(trials * entries <= budget or trials == 1 for trials, entries in calls)
+    calls.clear()
+    run_memory(_memory_config("pulsed", 300))
+    assert all(trials * entries <= 1.1 * budget or trials == 1 for trials, entries in calls)
+
+
+def test_plain_memory_draws_each_chunk_once(monkeypatch):
+    """A plain run knows how many normals a trial needs before any draw, so it
+    starts at the first doubling of `_DRAW_BLOCK` that holds them: 50 here.
+    At spread 0.1 no value is skipped, so no chunk is drawn again."""
+    draws = []
+
+    def counting(*args, **kwargs):
+        draws.append(1)
+        return _toggle_times(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_toggle_times", counting)
+    calls = _recording_walk(monkeypatch)
+    run_memory(base_memory(interval_spread=0.1, trials=300,
+                           observation_times=tuple(4e-3 * k for k in range(1, 26))))
+    assert len(calls) > 1
+    assert len(draws) == len(calls)
+
+
+def test_transmission_at_the_event_limit_stays_small():
+    """A trial of MAX_TRIAL_EVENTS pulses walks alone, so the kernel's
+    temporaries are a few trial-long arrays, not a chunk of them."""
+    config = base_transmission(bang_bang=True, pulse_spacing=4e-8, pulses_per_trial=MAX_TRIAL_EVENTS)
+    tracemalloc.start()
+    try:
+        run_transmission(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_memory_config_needs_three_observation_times():
@@ -637,12 +741,16 @@ def test_trial_streams_equal_default_rng_at_random(seed, k):
 
 
 def test_trial_states_run_across_stream_blocks():
+    """Chunks of ``rows`` trials, cut short where a stream block ends."""
     trials = _STREAM_BLOCK + 5
     rng, state = _stream_generator()
-    chunks = list(_trial_words(3, trials))
-    assert all(len(words) <= experiments._CHUNK_TRIALS for words in chunks)
-    words = np.concatenate(chunks)
-    assert np.array_equal(words, np.concatenate(list(_default_rng_words(3, trials))))
+    expected = np.concatenate(list(_default_rng_words(3, trials, 32)))
+    for rows in (32, 109, 2 * _STREAM_BLOCK):
+        chunks = list(_trial_words(3, trials, rows))
+        assert all(len(words) <= rows for words in chunks)
+        assert len(chunks) == -(-_STREAM_BLOCK // rows) + 1
+        words = np.concatenate(chunks)
+        assert np.array_equal(words, expected)
     # a generator set to derived words draws what default_rng draws
     state[:] = words[-1]
     assert np.array_equal(rng.standard_normal(40),
