@@ -44,15 +44,16 @@ MAX_TRIAL_EVENTS = 100_000
 # Most trials one run may have; also keeps the trial index k to the one
 # 32-bit entropy word that `_trial_streams` derives streams for.
 MAX_TRIALS = 10_000_000
-# Normals a memory trial draws at first; a run doubles it while rows run short.
+# Normals a memory trial draws at least; a run starts at the first doubling
+# that holds the flips it expects, and doubles again while rows run short.
 _DRAW_BLOCK = 32
 # Trials x events entries a phase-walk call is sized for (a lone trial may hold more); bounds its arrays.
 _CHUNK_EVENTS = 8192
 # Memory trials summed as one group, whatever the rows per call; fixes the sum's order and last bits.
 _SUM_TRIALS = 32
 # Trials whose random streams are derived at a time; bounds the derivation's
-# arrays.
-_STREAM_BLOCK = 4096
+# arrays, about 90 B a trial at their peak (0.72 MB a block).
+_STREAM_BLOCK = 8192
 
 PI = math.pi
 
@@ -520,112 +521,179 @@ def memory_trial_schedule(config: MemoryConfig, intervals: np.ndarray) -> tuple[
 # keeps both the SeedSequence and the PCG64 streams stable across numpy
 # versions; the tests check the derivation against default_rng.  Transmission
 # computes its draws from these states; memory writes them into one generator.
+#
+# Every operand below is an array, 0-d or a column of constants, built once
+# here: under NEP 50 promotion an op with a numpy-scalar operand costs 1.4 to
+# 2.6 times one with a 0-d array (0.95 against 0.68 us up to 1.22 against
+# 0.47 us, numpy 2.4 on a 2-core host), and a small block's derivation is
+# mostly such fixed costs.
 
 _MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
 # SeedSequence hash constants
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
+_MIX_L, _MIX_R, _XSHIFT = (np.array(v, np.uint32) for v in (0xCA01F9DD, 0x4973F715, 16))
 # PCG64 multiplier, as 64-bit halves and as the 32-bit limbs of its low half
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (2**64 - 1))
-_PCG_MULT_LO_LIMBS = np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 32 & _MASK32)
+_PCG_MULT_HI, _PCG_MULT_LO = (np.array(_PCG_MULT >> s & 2**64 - 1, np.uint64) for s in (64, 0))
+_PCG_LIMBS = np.array([_PCG_MULT & _MASK32, _PCG_MULT >> 32 & _MASK32], np.uint64)[:, None]
+_LIMB_SHIFTS = np.array([0, 32], np.uint64)[:, None]
+_MASK32_64, _ONE, _SHIFT_11, _SHIFT_32, _SHIFT_58, _SHIFT_63, _SHIFT_64 = (
+    np.array(v, np.uint64) for v in (_MASK32, 1, 11, 32, 58, 63, 64))
+_DOUBLE_UNIT = np.array(2.0**-53)
 
 
-def _hash_constants(init: int, mult: int):
-    """Successive ``(xor, mult)`` pairs of a SeedSequence hash.
+def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``count`` ``(xor, mult)`` pairs of a SeedSequence hash, as
+    ``(count, 1)`` uint32 columns.
 
     The running hash constant starts at ``init`` and is multiplied by
     ``mult`` at every use, whatever the data: each use XORs with the
     constant, advances it, then multiplies by the advanced one.
     """
-    while True:
-        advanced = (init * mult) & _MASK32
-        yield np.uint32(init), np.uint32(advanced)
-        init = advanced
+    constants = [init]
+    for _ in range(count):
+        constants.append(constants[-1] * mult & _MASK32)
+    column = np.array(constants, np.uint32)[:, None]
+    return column[:-1], column[1:]
 
 
-def _hash(values: np.ndarray, constants) -> np.ndarray:
-    xor, mult = next(constants)
-    values = (values ^ xor) * mult
-    return values ^ (values >> np.uint32(16))
+# Hashes of the entropy: four fill the pool, then mixing round ``src`` hashes
+# pool word ``src`` three times, once for each other word ``dst`` in turn;
+# every entropy word past the pool takes four more (`_entropy_pool`).
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 4 * _POOL_SIZE)
+_FILL = tuple(column[:_POOL_SIZE] for column in _HASH_A)
+_ROUNDS = tuple(
+    (np.array([dst for dst in range(_POOL_SIZE) if dst != src]),
+     *(column[_POOL_SIZE + 3 * src:_POOL_SIZE + 3 * src + 3] for column in _HASH_A))
+    for src in range(_POOL_SIZE))
+# generate_state(4, np.uint64) hashes the pool twice over, into eight words
+_HASH_B = tuple(column.reshape(2, _POOL_SIZE, 1) for column in _hash_constants(_INIT_B, _MULT_B, 8))
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return result ^ (result >> np.uint32(16))
+def _hash(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """``values`` hashed with the constant columns ``xor`` and ``mult``, a row each."""
+    values = values ^ xor
+    values *= mult
+    values ^= values >> _XSHIFT
+    return values
 
 
-def _mul_pcg(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(hi, lo)`` times the PCG64 multiplier, modulo 2**128.
+def _mix(x: np.ndarray, hashed: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of ``x`` with ``hashed``, in place in ``x``; spends ``hashed``."""
+    x *= _MIX_L
+    hashed *= _MIX_R
+    x -= hashed
+    x ^= x >> _XSHIFT
+    return x
+
+
+def _mul_pcg(value: np.ndarray) -> None:
+    """Multiply the 128-bit ``value``, rows ``(hi, lo)``, by the PCG64
+    multiplier modulo 2**128, in place.
 
     uint64 products wrap modulo 2**64; the carry out of ``lo * mult_lo``
-    comes from 32-bit limbs, whose products fit in 64 bits.
+    comes from the products of 32-bit limbs, all four in one op, whose
+    partial sums fit in 64 bits.
     """
-    mask = np.uint64(_MASK32)
-    b0, b1 = _PCG_MULT_LO_LIMBS
-    a0, a1 = lo & mask, lo >> np.uint64(32)
-    p01, p10 = a0 * b1, a1 * b0
-    mid = ((a0 * b0) >> np.uint64(32)) + (p01 & mask) + (p10 & mask)
-    carry = a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
-    return carry + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO, lo * _PCG_MULT_LO
+    hi, lo = value
+    limbs = lo >> _LIMB_SHIFTS
+    limbs &= _MASK32_64
+    (p00, p01), (p10, p11) = limbs[:, None] * _PCG_LIMBS   # p_ij = a_i * b_j
+    p00 >>= _SHIFT_32
+    p00 += p10
+    p01 += p00 & _MASK32_64
+    p00 >>= _SHIFT_32
+    p01 >>= _SHIFT_32
+    p11 += p00
+    p11 += p01
+    hi *= _PCG_MULT_LO
+    hi += p11
+    hi += lo * _PCG_MULT_HI
+    lo *= _PCG_MULT_LO
 
 
-def _add128(a_hi: np.ndarray, a_lo: np.ndarray, b_hi: np.ndarray,
-            b_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(a_hi, a_lo) + (b_hi, b_lo)`` modulo 2**128."""
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < a_lo), lo
+def _add128(a: np.ndarray, b: np.ndarray) -> None:
+    """``a += b`` modulo 2**128, for rows ``(hi, lo)``."""
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    a_lo += b_lo
+    a_hi += b_hi
+    a_hi += a_lo < b_lo
 
 
-def _trial_streams(seed: int, start: int, stop: int) -> tuple[np.ndarray, ...]:
-    """PCG64 ``(state_hi, state_lo, inc_hi, inc_lo)`` of the trials ``start <= k < stop``.
-
-    Equal to the 128-bit ``state`` and ``inc`` of
-    ``np.random.default_rng((seed, k)).bit_generator``, as uint64 arrays.
-    """
+def _entropy_pool(seed: int, start: int, stop: int) -> np.ndarray:
+    """SeedSequence((seed, k)).pool of the trials ``start <= k < stop``, its
+    four words the rows of a uint32 array."""
     assert 0 <= start <= stop <= _MASK32 + 1   # k is one 32-bit entropy word
-    trial = np.arange(start, stop, dtype=np.uint32)
     # the entropy words: seed in 32-bit words, least significant first, then k
     entropy = []
     while True:
-        entropy.append(np.full_like(trial, seed & _MASK32))
+        entropy.append(seed & _MASK32)
         seed >>= 32
         if not seed:
             break
-    entropy.append(trial)
-    # SeedSequence: mix the entropy into a pool of four words
-    hash_a = _hash_constants(_INIT_A, _MULT_A)
-    pool = [_hash(entropy[i] if i < len(entropy) else np.zeros_like(trial), hash_a)
-            for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], hash_a))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hash(word, hash_a))
-    # generate_state(4, np.uint64): eight words, paired little-endian
-    hash_b = _hash_constants(_INIT_B, _MULT_B)
-    words = [_hash(pool[i % _POOL_SIZE], hash_b).astype(np.uint64) for i in range(8)]
-    seed_hi, seed_lo, seq_hi, seq_lo = (
-        words[i] | (words[i + 1] << np.uint64(32)) for i in range(0, 8, 2))
-    # PCG64 seeding: inc = seq << 1 | 1, state = (inc + seed) * mult + inc
-    inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
-    inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
-    state = _add128(*_mul_pcg(*_add128(inc_hi, inc_lo, seed_hi, seed_lo)), inc_hi, inc_lo)
-    return *state, inc_hi, inc_lo
+    trial = np.arange(start, stop, dtype=np.uint32)
+    pool = np.zeros((_POOL_SIZE, len(trial)), np.uint32)
+    for row, word in zip(pool, entropy):
+        row[:] = word
+    if len(entropy) < _POOL_SIZE:
+        pool[len(entropy)] = trial
+    pool = _hash(pool, *_FILL)
+    for src, (others, xor, mult) in enumerate(_ROUNDS):
+        pool[others] = _mix(pool.take(others, axis=0), _hash(pool[src], xor, mult))
+    if len(entropy) >= _POOL_SIZE:
+        extra = [np.array(word, np.uint32) for word in entropy[_POOL_SIZE:]] + [trial]
+        xor, mult = (column[4 * _POOL_SIZE:].reshape(len(extra), _POOL_SIZE, 1)
+                     for column in _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (len(entropy) + 1)))
+        for word, word_xor, word_mult in zip(extra, xor, mult):
+            _mix(pool, _hash(word, word_xor, word_mult))
+    return pool
 
 
-def _next_doubles(state_hi, state_lo, inc_hi, inc_lo) -> tuple[np.ndarray, ...]:
-    """One step of each PCG64 stream: the advanced streams and the doubles in
-    [0, 1) that ``Generator.random`` returns for that step."""
-    hi, lo = _add128(*_mul_pcg(state_hi, state_lo), inc_hi, inc_lo)
+def _generate_state(seed: int, start: int, stop: int) -> np.ndarray:
+    """SeedSequence((seed, k)).generate_state(4, np.uint64) of the trials
+    ``start <= k < stop``, as the rows of a uint64 array; each word is two
+    hashed pool words, paired little-endian.  The pool is freed before the
+    pairing, where it would add to the derivation's peak."""
+    words = _hash(_entropy_pool(seed, start, stop), *_HASH_B).reshape(8, stop - start)
+    state = words[1::2].astype(np.uint64)
+    state <<= _SHIFT_32
+    state |= words[0::2]
+    return state
+
+
+def _trial_streams(seed: int, start: int, stop: int) -> np.ndarray:
+    """PCG64 ``(state_hi, state_lo, inc_hi, inc_lo)`` of the trials ``start <= k < stop``.
+
+    Rows of a ``(4, stop - start)`` uint64 array, equal to the 128-bit
+    ``state`` and ``inc`` of ``np.random.default_rng((seed, k)).bit_generator``.
+    """
+    # PCG64 seeding from the rows (seed_hi, seed_lo, seq_hi, seq_lo):
+    # inc = seq << 1 | 1, state = (inc + seed) * mult + inc
+    streams = _generate_state(seed, start, stop)
+    inc_hi, inc_lo = streams[2:]
+    inc_hi <<= _ONE
+    inc_hi |= inc_lo >> _SHIFT_63
+    inc_lo <<= _ONE
+    inc_lo |= _ONE
+    _add128(streams[:2], streams[2:])
+    _mul_pcg(streams[:2])
+    _add128(streams[:2], streams[2:])
+    return streams
+
+
+def _next_doubles(streams: np.ndarray) -> np.ndarray:
+    """Step each PCG64 stream of ``streams``, as `_trial_streams` gives them,
+    in place, and return the doubles in [0, 1) that ``Generator.random``
+    returns for that step."""
+    _mul_pcg(streams[:2])
+    _add128(streams[:2], streams[2:])
+    hi, lo = streams[:2]
     # XSL-RR output: the XOR of both halves, rotated right by the top six bits
-    folded, rot = hi ^ lo, hi >> np.uint64(58)
-    out = (folded >> rot) | (folded << ((np.uint64(64) - rot) & np.uint64(63)))
-    return (hi, lo, inc_hi, inc_lo), (out >> np.uint64(11)) * 2.0**-53
+    folded, rot = hi ^ lo, hi >> _SHIFT_58
+    out = (folded >> rot) | (folded << ((_SHIFT_64 - rot) & _SHIFT_63))
+    return (out >> _SHIFT_11) * _DOUBLE_UNIT
 
 
 def _stream_generator() -> tuple[np.random.Generator, np.ndarray]:
@@ -662,7 +730,7 @@ def _trial_words(seed: int, trials: int, rows: int):
     laid out like the view of `_stream_generator`, in ``(rows, 2, 2)`` arrays;
     a chunk holds fewer rows only where a stream block or the run ends."""
     for block in _blocks(trials, _STREAM_BLOCK):
-        words = np.stack(_trial_streams(seed, block.start, block.stop), axis=1).reshape(-1, 2, 2)
+        words = _trial_streams(seed, block.start, block.stop).T.reshape(-1, 2, 2)
         for chunk in _blocks(len(block), rows):
             yield words[chunk.start:chunk.stop]
 
@@ -689,11 +757,11 @@ def _transmission_draws(config: TransmissionConfig, start: int, stop: int) -> tu
     ``rng.uniform(0, pulse_spacing)``; the offset is 0 otherwise.  Both are
     computed as numpy does, ``low + (high - low) * rng.random()``.
     """
-    streams, doubles = _next_doubles(*_trial_streams(config.seed, start, stop))
-    windows = 0.0 + (2 * PI / config.j) * doubles
+    streams = _trial_streams(config.seed, start, stop)
+    windows = 0.0 + (2 * PI / config.j) * _next_doubles(streams)
     offsets = np.zeros(stop - start)
     if config.bang_bang and config.random_train_phase:
-        offsets = 0.0 + config.pulse_spacing * _next_doubles(*streams)[1]
+        offsets = 0.0 + config.pulse_spacing * _next_doubles(streams)
     return windows, offsets
 
 
@@ -759,10 +827,14 @@ def _toggle_times(rng, state: np.ndarray, words: np.ndarray, width: int, mean: f
         values = np.take_along_axis(values, np.argsort(skipped, axis=1, kind="stable"), axis=1)
         values[values <= 0.0] = np.inf
     flips = np.cumsum(values, axis=1, out=values)
-    need = np.full(len(words), count) if count is not None else (flips <= horizon).sum(axis=1) + 1
-    if need.max() > width or np.isinf(flips[np.arange(len(words)), need - 1]).any():
-        return _toggle_times(rng, state, words, 2 * width, mean, spread, count, horizon)
-    return np.take_along_axis(flips, np.minimum(np.arange(need.max()), need[:, None] - 1), axis=1), width
+    if count is not None:
+        if count <= width and np.isfinite(flips[:, count - 1]).all():
+            return flips[:, :count].copy(), width   # a copy frees the wider draw
+    else:
+        need = (flips <= horizon).sum(axis=1) + 1
+        if need.max() <= width and np.isfinite(flips[np.arange(len(words)), need - 1]).all():
+            return np.take_along_axis(flips, np.minimum(np.arange(need.max()), need[:, None] - 1), axis=1), width
+    return _toggle_times(rng, state, words, 2 * width, mean, spread, count, horizon)
 
 
 def run_memory(config: MemoryConfig) -> DecayCurve:
@@ -774,8 +846,10 @@ def run_memory(config: MemoryConfig) -> DecayCurve:
     if config.bang_bang:
         train = _memory_train(config.pulse_spacing, horizon)
         signs = pi_pulse_signs(cyclic_axes(len(train)))
+        # the flips before the horizon, with room for their count's spread
+        expected = 1.5 * horizon / config.mean_interval + 1
     else:
-        count = 2 * max(config.cycle_counts())
+        count = expected = 2 * max(config.cycle_counts())
         snapshot_flips = np.array(config.cycle_counts()) * 2 - 1
     # snapshots, train and expected toggles; a draw chunk is a kernel chunk
     per_call = max(1, _CHUNK_EVENTS // (len(times) + len(train) + math.ceil(horizon / config.mean_interval)))
@@ -783,7 +857,7 @@ def run_memory(config: MemoryConfig) -> DecayCurve:
     rng, state = _stream_generator()
     # the width chunks draw at; it only grows, so a chunk is drawn twice only where it does
     width = _DRAW_BLOCK
-    while count is not None and width < count:
+    while width < expected:
         width *= 2
     acc = np.zeros(len(times), dtype=complex)
     held = np.empty((0, len(times)), dtype=complex)   # amplitudes of a group not yet summed

@@ -34,6 +34,7 @@ from dephasim.experiments import (
     MAX_TRIALS,
     _DRAW_BLOCK,
     _STREAM_BLOCK,
+    _generate_state,
     _stream_generator,
     _toggle_times,
     _transmission_draws,
@@ -634,22 +635,44 @@ def test_each_kernel_call_holds_at_most_the_entry_budget(budget, monkeypatch):
     assert all(trials * entries <= 1.1 * budget or trials == 1 for trials, entries in calls)
 
 
+def _recording_draws(monkeypatch):
+    """Patch `_toggle_times` to record the width of each draw of a chunk."""
+    widths = []
+
+    def recording(rng, state, words, width, *args):
+        widths.append(width)
+        return _toggle_times(rng, state, words, width, *args)
+
+    monkeypatch.setattr(experiments, "_toggle_times", recording)
+    return widths
+
+
 def test_plain_memory_draws_each_chunk_once(monkeypatch):
     """A plain run knows how many normals a trial needs before any draw, so it
     starts at the first doubling of `_DRAW_BLOCK` that holds them: 50 here.
     At spread 0.1 no value is skipped, so no chunk is drawn again."""
-    draws = []
-
-    def counting(*args, **kwargs):
-        draws.append(1)
-        return _toggle_times(*args, **kwargs)
-
-    monkeypatch.setattr(experiments, "_toggle_times", counting)
+    draws = _recording_draws(monkeypatch)
     calls = _recording_walk(monkeypatch)
     run_memory(base_memory(interval_spread=0.1, trials=300,
                            observation_times=tuple(4e-3 * k for k in range(1, 26))))
     assert len(calls) > 1
     assert len(draws) == len(calls)
+
+
+def test_pulsed_memory_draws_each_chunk_once(monkeypatch):
+    """A pulsed run draws until the horizon, about 30 flips in the shape of
+    memory_pulsed.json; it starts at the first doubling of `_DRAW_BLOCK` that
+    holds half as many again and one more, 64, so its first chunk is not drawn
+    again at twice the width."""
+    draws = _recording_draws(monkeypatch)
+    calls = _recording_walk(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        config = base_memory(trials=300, observation_times=tuple(4e-3 * k for k in range(1, 16)),
+                             bang_bang=True, pulse_spacing=0.5e-3)
+    run_memory(config)
+    assert len(calls) > 1
+    assert draws == [64] * len(calls)
 
 
 def test_transmission_at_the_event_limit_stays_small():
@@ -738,6 +761,40 @@ def test_trial_streams_equal_default_rng(seed):
        k=st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1)))
 def test_trial_streams_equal_default_rng_at_random(seed, k):
     assert _as_ints(_trial_streams(seed, k, k + 1)) == [_default_rng_stream(seed, k)]
+
+
+def test_trial_streams_are_uint64_rows():
+    streams = _trial_streams(1, 0, 5)
+    assert streams.dtype == np.uint64
+    assert streams.shape == (4, 5)
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_generate_state_equals_seed_sequence(seed):
+    for k in (0, 1, 2**32 - 1):
+        expected = np.random.SeedSequence((seed, k)).generate_state(4, np.uint64)
+        assert np.array_equal(_generate_state(seed, k, k + 1)[:, 0], expected)
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_trial_streams_equal_default_rng_over_a_full_block(seed):
+    """One call derives a whole block; its first and last trials and some between."""
+    ks = [0, 1, 2, 1000, 4095, 4096, _STREAM_BLOCK // 2 + 1, _STREAM_BLOCK - 2, _STREAM_BLOCK - 1]
+    streams = _trial_streams(seed, 0, _STREAM_BLOCK)
+    assert _as_ints(streams[:, ks]) == [_default_rng_stream(seed, k) for k in ks]
+
+
+@pytest.mark.parametrize("seed", [1, 2**128 + 7], ids=["one-word", "five-word"])
+def test_a_stream_block_peaks_under_its_budget(seed):
+    """A whole block's derivation peaks under 0.92 MB of tracemalloc, about
+    90 B a trial; a five-word seed also mixes the words past the pool."""
+    tracemalloc.start()
+    try:
+        _trial_streams(seed, 0, _STREAM_BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.92e6
 
 
 def test_trial_states_run_across_stream_blocks():
