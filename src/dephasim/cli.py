@@ -38,6 +38,7 @@ import math
 import sys
 import warnings
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -55,8 +56,8 @@ class ConfigError(Exception):
         super().__init__(f"{message} (at {location})" if location else message)
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
+# a number as 12 significant digits; the same bytes as f"{float(x):.12g}"
+_fmt = "%.12g".__mod__
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +229,22 @@ def _build_memory(params: dict, seed: int) -> list[experiments.MemoryConfig]:
 # outputs
 # ---------------------------------------------------------------------------
 
-def _write_csv(path: Path, header: str, rows: list[str]) -> None:
-    """Write ``header`` and the preformatted ``rows`` as lines of a CSV file."""
-    path.write_text(header + "\n" + "\n".join(rows) + "\n", newline="\n")
+# rows formatted at a time, so the writer's memory does not grow with the row count
+_CSV_ROWS = 1024
+
+
+def _write_csv(path: Path, header: str, index: range | None, *values: np.ndarray) -> None:
+    """Write ``header`` and a row per entry of ``values``: the ``index``, if
+    given, then each value through `_fmt`, a block of `_CSV_ROWS` rows at a time."""
+    columns = ([] if index is None else [index]) + list(values)
+    row = ",".join(["%s"] * len(columns)) + "\n"
+    with path.open("w", newline="\n") as f:
+        f.write(header + "\n")
+        for start in range(0, len(values[0]), _CSV_ROWS):
+            block = slice(start, start + _CSV_ROWS)
+            cells = [column[block] if column is index else map(_fmt, column[block].tolist())
+                     for column in columns]
+            f.write(row * len(columns[0][block]) % tuple(chain.from_iterable(zip(*cells))))
 
 
 def _report(path: Path, lines: list[str]) -> None:
@@ -257,14 +271,11 @@ def _pct(simulated: float, predicted: float) -> str:
 def _run_transmission(config: experiments.TransmissionConfig, out: Path) -> None:
     result = experiments.run_transmission(config)
     amps, groups = result.amplitudes, result.group_averages
-    # formatted from Python floats, which is faster than from numpy scalars
-    _write_csv(out / "amplitudes.csv", "trial,amplitude_re,amplitude_im", [
-        f"{k},{_fmt(re)},{_fmt(im)}" for k, (re, im) in enumerate(zip(amps.real.tolist(), amps.imag.tolist()))
-    ])
-    _write_csv(out / "group_averages.csv", "group,amplitude_re,amplitude_im,magnitude", [
-        f"{k},{_fmt(re)},{_fmt(im)},{_fmt(mag)}" for k, (re, im, mag) in enumerate(
-            zip(groups.real.tolist(), groups.imag.tolist(), np.abs(groups).tolist()))
-    ])
+    magnitudes = np.abs(groups)
+    _write_csv(out / "amplitudes.csv", "trial,amplitude_re,amplitude_im",
+               range(len(amps)), amps.real, amps.imag)
+    _write_csv(out / "group_averages.csv", "group,amplitude_re,amplitude_im,magnitude",
+               range(len(groups)), groups.real, groups.imag, magnitudes)
 
     magnitude = abs(result.grand_average)
     if not config.bang_bang:
@@ -288,8 +299,7 @@ def _run_transmission(config: experiments.TransmissionConfig, out: Path) -> None
         f"  |grand average| = {_fmt(magnitude)}",
         f"  prediction ({label}) = {_fmt(predicted)}",
         f"  deviation = {_fmt(magnitude - predicted)} ({_pct(magnitude, predicted)})",
-        f"  group magnitudes: min {_fmt(np.abs(result.group_averages).min())}, "
-        f"max {_fmt(np.abs(result.group_averages).max())}",
+        f"  group magnitudes: min {_fmt(magnitudes.min())}, max {_fmt(magnitudes.max())}",
     ]
     _report(out / "summary.txt", lines)
 
@@ -299,10 +309,8 @@ def _run_memory(configs: list[experiments.MemoryConfig], out: Path) -> None:
     for config in configs:
         spread = config.interval_spread
         curve = experiments.run_memory(config)
-        _write_csv(out / f"decay_{_spread_suffix(spread)}.csv", "time_s,magnitude,fit_magnitude", [
-            f"{_fmt(t)},{_fmt(m)},{_fmt(f)}" for t, m, f in zip(
-                curve.times.tolist(), curve.magnitudes.tolist(), curve.fit.magnitude(curve.times).tolist())
-        ])
+        _write_csv(out / f"decay_{_spread_suffix(spread)}.csv", "time_s,magnitude,fit_magnitude",
+                   None, curve.times, curve.magnitudes, curve.fit.magnitude(curve.times))
         n_cycles = config.cycle_counts()[-1]
         if config.bang_bang:
             t2_pred = experiments.bang_bang_dephasing_time(

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dephasim import MemoryConfig, run_memory
-from dephasim.cli import _PARAM_KEYS, ConfigError, _fmt, _spread_suffix, _write_csv, load_config, main, run
+from dephasim import MemoryConfig, cli, experiments, run_memory
+from dephasim.cli import (_CSV_ROWS, _PARAM_KEYS, ConfigError, _fmt, _spread_suffix, _write_csv,
+                          load_config, main, run)
 
 
 def write_json(path, doc):
@@ -634,13 +636,88 @@ def test_verify_with_unresolvable_frequencies_fails_its_checks(tmp_path, capsys)
 
 def test_write_csv_writes_header_and_rows(tmp_path):
     path = tmp_path / "t.csv"
-    _write_csv(path, "time_s,magnitude", ["0.004,0.9", "0.008,0.81"])
+    _write_csv(path, "time_s,magnitude", None, np.array([0.004, 0.008]), np.array([0.9, 0.81]))
     assert path.read_bytes() == b"time_s,magnitude\n0.004,0.9\n0.008,0.81\n"
+    _write_csv(path, "trial,amplitude_re", range(2), np.array([0.5, -0.0]))
+    assert path.read_bytes() == b"trial,amplitude_re\n0,0.5\n1,-0\n"
+
+
+def _per_row_csv(header: str, rows) -> bytes:
+    """A CSV as it was written one f-string a row, with the rows joined."""
+    return (header + "\n" + "\n".join(rows) + "\n").encode()
+
+
+def _old_fmt(x) -> str:
+    return f"{float(x):.12g}"
+
+
+@pytest.mark.parametrize("rows", [1, _CSV_ROWS - 1, _CSV_ROWS, _CSV_ROWS + 1, 2 * _CSV_ROWS + 1])
+def test_csvs_written_in_blocks_match_the_per_row_formula(tmp_path, rows):
+    doc = transmission_doc()
+    doc["params"].update(trials=rows, group_size=1)   # one group a trial, so both CSVs have rows rows
+    out = tmp_path / "transmission"
+    assert main([write_json(tmp_path / "t.json", doc), "--out", str(out)]) == 0
+    result = experiments.run_transmission(cli._build_transmission(doc["params"], doc["seed"]))
+    amps, groups = result.amplitudes, result.group_averages
+    assert (out / "amplitudes.csv").read_bytes() == _per_row_csv("trial,amplitude_re,amplitude_im", (
+        f"{k},{_old_fmt(a.real)},{_old_fmt(a.imag)}" for k, a in enumerate(amps)))
+    assert (out / "group_averages.csv").read_bytes() == _per_row_csv(
+        "group,amplitude_re,amplitude_im,magnitude",
+        (f"{k},{_old_fmt(g.real)},{_old_fmt(g.imag)},{_old_fmt(abs(g))}" for k, g in enumerate(groups)))
+
+    # a decay CSV has a row per observation time; a memory run needs three or more
+    doc = memory_doc()
+    doc["params"].update(interval_spread=0.1, trials=4, observation_times={"max_time": max(rows, 3) * 4e-3})
+    out = tmp_path / "memory"
+    assert main([write_json(tmp_path / "m.json", doc), "--out", str(out)]) == 0
+    [config] = cli._build_memory(doc["params"], doc["seed"])
+    curve = run_memory(config)
+    assert len(curve.times) == max(rows, 3)
+    assert (out / "decay_a010.csv").read_bytes() == _per_row_csv("time_s,magnitude,fit_magnitude", (
+        f"{_old_fmt(t)},{_old_fmt(m)},{_old_fmt(f)}"
+        for t, m, f in zip(curve.times, curve.magnitudes, curve.fit.magnitude(curve.times))))
+
+
+def test_write_csv_memory_does_not_grow_with_rows(tmp_path):
+    """Formatting a block at a time keeps the writer's peak at a few hundred
+    kB; all the rows' strings at once take about 3.5 MB at 20,000 rows."""
+    rows = 20_000
+    values = np.random.default_rng(0).standard_normal((2, rows))
+    tracemalloc.start()
+    try:
+        _write_csv(tmp_path / "t.csv", "trial,amplitude_re,amplitude_im", range(rows), *values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert len((tmp_path / "t.csv").read_bytes().splitlines()) == rows + 1
+
+
+@pytest.mark.parametrize("doc", [transmission_doc(), memory_doc()], ids=["transmission", "memory"])
+def test_every_csv_value_cell_goes_through_fmt(tmp_path, monkeypatch, doc):
+    """Patching `cli._fmt` changes every value cell of every CSV, and no index cell."""
+    config = write_json(tmp_path / "c.json", doc)
+    assert main([config, "--out", str(tmp_path / "plain")]) == 0
+    monkeypatch.setattr(cli, "_fmt", lambda x: f"<{_fmt(x)}>")
+    assert main([config, "--out", str(tmp_path / "marked")]) == 0
+    names = sorted(p.name for p in (tmp_path / "plain").glob("*.csv"))
+    assert names and names == sorted(p.name for p in (tmp_path / "marked").glob("*.csv"))
+    for name in names:
+        plain = (tmp_path / "plain" / name).read_text().splitlines()
+        marked = (tmp_path / "marked" / name).read_text().splitlines()
+        assert marked[0] == plain[0]
+        indexed = plain[0].split(",")[0] in ("trial", "group")
+        for plain_row, marked_row in zip(plain[1:], marked[1:], strict=True):
+            cells = plain_row.split(",")
+            assert marked_row.split(",") == [
+                cell if indexed and i == 0 else f"<{cell}>" for i, cell in enumerate(cells)]
 
 
 def test_fmt_and_spread_suffix():
     assert _fmt(0.05700204704780489) == "0.0570020470478"
     assert _fmt(1.0) == "1"
+    for x in (-0.0, 1e-5, 1e16, 5e-324, math.inf, math.nan, np.float64(0.1), 7):
+        assert _fmt(x) == f"{float(x):.12g}"
     assert _spread_suffix(0.1) == "a010"
     assert _spread_suffix(0.25) == "a025"
     assert _spread_suffix(0.05) == "a005"
