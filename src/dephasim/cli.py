@@ -176,14 +176,23 @@ def _floats(raw: list, location: str) -> list[float]:
 
 
 def _spreads(params: dict, location: str) -> list[tuple[float, str]]:
-    """Each interval spread with its location."""
+    """Each interval spread with its location; two spreads may not share a CSV."""
     raw = params.get("interval_spread")
     where = f"{location}.interval_spread"
     if not isinstance(raw, list):
         return [(_require(params, "interval_spread", float, location), where)]
     if not raw:
         raise ConfigError("interval_spread list is empty", where)
-    return [(spread, f"{where}[{i}]") for i, spread in enumerate(_floats(raw, where))]
+    spreads = _floats(raw, where)
+    first = {}   # each CSV suffix and the index of the first spread that writes it
+    for i, spread in enumerate(spreads):
+        if not math.isfinite(100 * spread):
+            continue   # too large to name; out of MemoryConfig's range, which refuses it
+        suffix = _spread_suffix(spread)
+        if first.setdefault(suffix, i) != i:
+            raise ConfigError(f"interval_spread {_fmt(spread)} writes decay_{suffix}.csv, "
+                              f"as interval_spread[{first[suffix]}] does", f"{where}[{i}]")
+    return [(spread, f"{where}[{i}]") for i, spread in enumerate(spreads)]
 
 
 def _observation_times(params: dict, mean_interval: float, location: str) -> tuple[tuple[float, ...], str]:

@@ -107,23 +107,15 @@ class TransmissionConfig:
     def __post_init__(self):
         _check_finite(j=self.j, total_time=self.total_time, noise_start=self.noise_start,
                       pulse_spacing=self.pulse_spacing)
-        if not self.j > 0:
-            raise FieldError("j", "coupling j must be positive")
+        _check_run(self, 1.0, "1")
         if not 0 < self.noise_start < self.total_time:
             raise FieldError("noise_start", "need 0 < noise_start < total_time")
         if self.noise_start + 2 * PI / self.j > self.total_time + 1e-12:
             raise FieldError("total_time", "noise window (one coupling period) must fit before total_time")
         _check_phase(self.j, self.total_time, "total_time")
-        _check_trials(self.trials)
         if not 1 <= self.group_size <= MAX_TRIALS:
             raise FieldError("group_size", f"group_size must lie in [1, {MAX_TRIALS}]")
-        if self.seed < 0:
-            raise FieldError("seed", "seed must be a non-negative integer")
         if self.bang_bang:
-            if self.pulse_spacing is None or not self.pulse_spacing > 0:
-                raise FieldError("pulse_spacing", "bang_bang requires a positive pulse_spacing")
-            if self.j * self.pulse_spacing >= 1.0:
-                raise FieldError("pulse_spacing", "pulse train too sparse: need j * pulse_spacing < 1")
             n = self.pulse_count()
             counted = self.pulses_per_trial is not None
             if n > MAX_TRIAL_EVENTS:
@@ -134,8 +126,6 @@ class TransmissionConfig:
                                  f"train of {n} pulses does not fit between noise_start and total_time")
         elif self.pulses_per_trial is not None:
             raise FieldError("pulses_per_trial", "pulses_per_trial only applies with bang_bang")
-        elif self.pulse_spacing is not None:
-            raise FieldError("pulse_spacing", "pulse_spacing only applies with bang_bang")
         elif self.random_train_phase:
             raise FieldError("random_train_phase", "random_train_phase only applies with bang_bang")
 
@@ -181,8 +171,8 @@ class MemoryConfig:
         object.__setattr__(self, "observation_times", tuple(float(t) for t in self.observation_times))
         _check_finite(j=self.j, mean_interval=self.mean_interval, interval_spread=self.interval_spread,
                       pulse_spacing=self.pulse_spacing, observation_times=self.observation_times)
-        if not self.j > 0:
-            raise FieldError("j", "coupling j must be positive")
+        # the train's bound is the domain of bang_bang_dephasing_time, the run's closed form
+        _check_run(self, 2 * PI, "2 pi")
         if not self.mean_interval > 0:
             raise FieldError("mean_interval", "mean_interval must be positive")
         if not 0.0 <= self.interval_spread <= 0.25:
@@ -190,19 +180,11 @@ class MemoryConfig:
         # the exponential fit of the decay needs three points
         if len(self.observation_times) < 3:
             raise FieldError("observation_times", "need at least 3 observation times")
-        if self.bang_bang:
-            if self.pulse_spacing is None or not self.pulse_spacing > 0:
-                raise FieldError("pulse_spacing", "bang_bang requires a positive pulse_spacing")
-            # the domain of bang_bang_dephasing_time, the run's closed form
-            if not self.j * self.pulse_spacing < 2 * PI:
-                raise FieldError("pulse_spacing", "pulse train too sparse: need j * pulse_spacing < 2 pi")
-            if self.pulse_spacing >= self.interval_spread * self.mean_interval:
-                # stacklevel 3: past the dataclass __init__, to the code that built the config
-                warnings.warn(FieldWarning("pulse_spacing", "pulse_spacing is not small against the interval "
-                                           "jitter; the closed-form retention factor becomes approximate"),
-                              stacklevel=3)
-        elif self.pulse_spacing is not None:
-            raise FieldError("pulse_spacing", "pulse_spacing only applies with bang_bang")
+        if self.bang_bang and self.pulse_spacing >= self.interval_spread * self.mean_interval:
+            # stacklevel 3: past the dataclass __init__, to the code that built the config
+            warnings.warn(FieldWarning("pulse_spacing", "pulse_spacing is not small against the interval "
+                                       "jitter; the closed-form retention factor becomes approximate"),
+                          stacklevel=3)
         # toggles up to the horizon (their mean number with bang_bang) and the train
         horizon = max(self.observation_times)
         train = horizon / self.pulse_spacing if self.bang_bang else 0
@@ -230,9 +212,6 @@ class MemoryConfig:
                 raise FieldError("observation_times", f"observation time {t:.12g} is not a "
                                  f"multiple of one toggle cycle {cycle:.12g}")
             prev = t
-        _check_trials(self.trials)
-        if self.seed < 0:
-            raise FieldError("seed", "seed must be a non-negative integer")
 
     def cycle_counts(self) -> tuple[int, ...]:
         cycle = 2.0 * self.mean_interval
@@ -247,11 +226,24 @@ def _check_finite(**values) -> None:
             raise FieldError(name, f"{name} must be finite")
 
 
-def _check_trials(trials: int) -> None:
-    if trials < 1:
+def _check_run(config: TransmissionConfig | MemoryConfig, sparse: float, bound: str) -> None:
+    """The rules both configs share; a pulse train runs exactly with
+    ``bang_bang``, and ``j * pulse_spacing < sparse``, written ``bound``."""
+    if not config.j > 0:
+        raise FieldError("j", "coupling j must be positive")
+    if config.trials < 1:
         raise FieldError("trials", "trials must be at least 1")
-    if trials > MAX_TRIALS:
+    if config.trials > MAX_TRIALS:
         raise FieldError("trials", f"trials exceeds the limit of {MAX_TRIALS}")
+    if config.seed < 0:
+        raise FieldError("seed", "seed must be a non-negative integer")
+    if not config.bang_bang:
+        if config.pulse_spacing is not None:
+            raise FieldError("pulse_spacing", "pulse_spacing only applies with bang_bang")
+    elif config.pulse_spacing is None or not config.pulse_spacing > 0:
+        raise FieldError("pulse_spacing", "bang_bang requires a positive pulse_spacing")
+    elif not config.j * config.pulse_spacing < sparse:
+        raise FieldError("pulse_spacing", f"pulse train too sparse: need j * pulse_spacing < {bound}")
 
 
 def _check_phase(j: float, time: float, field: str) -> None:
@@ -725,14 +717,16 @@ def _stream_generator() -> tuple[np.random.Generator, np.ndarray]:
     return rng, state
 
 
-def _trial_words(seed: int, trials: int, rows: int):
-    """The PCG64 state words of ``default_rng((seed, k))`` for k = 0, 1, ...,
-    laid out like the view of `_stream_generator`, in ``(rows, 2, 2)`` arrays;
-    a chunk holds fewer rows only where a stream block or the run ends."""
+def _trial_chunks(seed: int, trials: int, events: int):
+    """The PCG64 streams of ``default_rng((seed, k))``, as `_trial_streams`
+    gives them, a kernel call of trials of ``events`` events at a time: yields
+    each chunk's first trial and a ``(4, rows)`` view of its streams.  A chunk
+    holds fewer rows only where a stream block or the run ends."""
+    rows = max(1, _CHUNK_EVENTS // events)
     for block in _blocks(trials, _STREAM_BLOCK):
-        words = _trial_streams(seed, block.start, block.stop).T.reshape(-1, 2, 2)
+        streams = _trial_streams(seed, block.start, block.stop)
         for chunk in _blocks(len(block), rows):
-            yield words[chunk.start:chunk.stop]
+            yield block.start + chunk.start, streams[:, chunk.start:chunk.stop]
 
 
 # ---------------------------------------------------------------------------
@@ -749,41 +743,29 @@ def _blocks(trials: int, size: int):
         yield range(first, min(first + size, trials))
 
 
-def _transmission_draws(config: TransmissionConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Window lengths and train offsets of the trials ``start <= k < stop``.
+def run_transmission(config: TransmissionConfig) -> EnsembleResult:
+    """Monte Carlo ensemble of single noise-window trials.
 
     Trial k's stream ``rng = default_rng((config.seed, k))`` gives the window
-    ``rng.uniform(0, period)`` and, with a random train phase, then the offset
-    ``rng.uniform(0, pulse_spacing)``; the offset is 0 otherwise.  Both are
-    computed as numpy does, ``low + (high - low) * rng.random()``.
+    ``rng.uniform(0, period)`` and, with a random train phase, then the train
+    offset ``rng.uniform(0, pulse_spacing)``.  Both are computed as numpy
+    does, ``low + (high - low) * rng.random()``.
     """
-    streams = _trial_streams(config.seed, start, stop)
-    windows = 0.0 + (2 * PI / config.j) * _next_doubles(streams)
-    offsets = np.zeros(stop - start)
-    if config.bang_bang and config.random_train_phase:
-        offsets = 0.0 + config.pulse_spacing * _next_doubles(streams)
-    return windows, offsets
-
-
-def run_transmission(config: TransmissionConfig) -> EnsembleResult:
-    """Monte Carlo ensemble of single noise-window trials."""
     steps = signs = np.empty(0)
     if config.bang_bang:
         n_pulses = config.pulse_count()
         steps = np.arange(n_pulses) * config.pulse_spacing
         signs = pi_pulse_signs(cyclic_axes(n_pulses))
-    per_call = max(1, _CHUNK_EVENTS // (3 + len(steps)))   # two toggles, a snapshot, the train
     amps = np.empty(config.trials, dtype=complex)
-    for block in _blocks(config.trials, _STREAM_BLOCK):
-        windows, offsets = _transmission_draws(config, block.start, block.stop)
-        block_amps = amps[block.start:block.stop]
-        for chunk in _blocks(len(block), per_call):
-            rows = slice(chunk.start, chunk.stop)
-            toggles = np.stack((np.full(len(chunk), config.noise_start),
-                                config.noise_start + windows[rows]), axis=1)
-            pulses = (config.noise_start + offsets[rows])[:, None] + steps
-            snapshots = np.full((len(chunk), 1), config.total_time)
-            block_amps[rows] = phase_walk(config.j, toggles, pulses, signs, snapshots)[:, 0]
+    # two toggles, a snapshot and the train a trial
+    for first, streams in _trial_chunks(config.seed, config.trials, 3 + len(steps)):
+        rows = streams.shape[1]
+        toggles = np.full((rows, 2), config.noise_start)
+        toggles[:, 1] += 0.0 + (2 * PI / config.j) * _next_doubles(streams)
+        offsets = 0.0 + config.pulse_spacing * _next_doubles(streams)[:, None] if config.random_train_phase else 0.0
+        pulses = np.broadcast_to(config.noise_start + offsets + steps, (rows, len(steps)))
+        snapshots = np.broadcast_to(config.total_time, (rows, 1))
+        amps[first:first + rows] = phase_walk(config.j, toggles, pulses, signs, snapshots)[:, 0]
     if config.remove_trivial_phase:
         amps *= np.exp(-0.5j * config.j * config.total_time)
     return EnsembleResult(
@@ -847,12 +829,10 @@ def run_memory(config: MemoryConfig) -> DecayCurve:
         train = _memory_train(config.pulse_spacing, horizon)
         signs = pi_pulse_signs(cyclic_axes(len(train)))
         # the flips before the horizon, with room for their count's spread
-        expected = 1.5 * horizon / config.mean_interval + 1
+        expected = math.ceil(1.5 * horizon / config.mean_interval) + 1
     else:
         count = expected = 2 * max(config.cycle_counts())
         snapshot_flips = np.array(config.cycle_counts()) * 2 - 1
-    # snapshots, train and expected toggles; a draw chunk is a kernel chunk
-    per_call = max(1, _CHUNK_EVENTS // (len(times) + len(train) + math.ceil(horizon / config.mean_interval)))
     # one generator, set to trial k's stream by writing k's words before k's draws
     rng, state = _stream_generator()
     # the width chunks draw at; it only grows, so a chunk is drawn twice only where it does
@@ -861,7 +841,9 @@ def run_memory(config: MemoryConfig) -> DecayCurve:
         width *= 2
     acc = np.zeros(len(times), dtype=complex)
     held = np.empty((0, len(times)), dtype=complex)   # amplitudes of a group not yet summed
-    for words in _trial_words(config.seed, config.trials, per_call):
+    # snapshots, train and expected toggles a trial; a draw chunk is a kernel chunk
+    for _, streams in _trial_chunks(config.seed, config.trials, len(times) + len(train) + expected):
+        words = streams.T.reshape(-1, 2, 2)   # laid out like the view of `_stream_generator`
         # with the pulse train, a row's padding lies past the horizon
         toggles, width = _toggle_times(rng, state, words, width, config.mean_interval,
                                        config.interval_spread, count, horizon)

@@ -96,16 +96,12 @@ def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
 
 
 def is_density_matrix(m, tol: float = DEFAULT_TOL) -> bool:
-    """Hermitian, unit trace, eigenvalues above ``-EIGENVALUE_TOL``."""
+    """Whether `validate_density` accepts ``m``."""
     try:
-        m = as_matrix(m)
+        validate_density(m, tol)
     except ValueError:
         return False
-    if not is_hermitian(m, tol):
-        return False
-    if abs(m.trace() - 1.0) > tol:
-        return False
-    return bool(np.linalg.eigvalsh(m).min() >= -EIGENVALUE_TOL)
+    return True
 
 
 def validate_density(m, tol: float = DEFAULT_TOL, name: str = "rho") -> np.ndarray:

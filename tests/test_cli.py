@@ -395,6 +395,8 @@ _RULES = [
      "params.mean_interval"),
     ("spread", "memory", {"interval_spread": 0.3}, "params.interval_spread"),
     ("second_spread", "memory", {"interval_spread": [0.1, 0.9]}, "params.interval_spread[1]"),
+    # both write decay_a010.csv; the second used to overwrite the first and exit 0
+    ("same_csv", "memory", {"interval_spread": [0.1, 0.15, 0.104]}, "params.interval_spread[2]"),
     ("three_times", "memory", {"observation_times": [4e-3, 8e-3]}, "params.observation_times"),
     ("three_grid_times", "memory", {"observation_times": {"max_time": 8e-3}},
      "params.observation_times.max_time"),

@@ -35,11 +35,10 @@ from dephasim.experiments import (
     _DRAW_BLOCK,
     _STREAM_BLOCK,
     _generate_state,
+    _next_doubles,
     _stream_generator,
     _toggle_times,
-    _transmission_draws,
     _trial_streams,
-    _trial_words,
 )
 
 from helpers import J_REF, rho_00, window_schedule
@@ -324,6 +323,14 @@ def test_memory_config_validation():
     # both were accepted and ignored without the train
     (base_transmission, {"pulse_spacing": 3e-4}, "pulse_spacing"),
     (base_transmission, {"random_train_phase": True}, "random_train_phase"),
+    # the rules both configs share, refused at the same field by each
+    (base_transmission, {"seed": -1}, "seed"),
+    (base_memory, {"j": -1.0}, "j"),
+    (base_memory, {"trials": 0}, "trials"),
+    (base_memory, {"trials": MAX_TRIALS + 1}, "trials"),
+    (base_memory, {"bang_bang": True}, "pulse_spacing"),
+    (base_memory, {"pulse_spacing": 0.5e-3}, "pulse_spacing"),
+    (base_memory, {"bang_bang": True, "pulse_spacing": 5e-3}, "pulse_spacing"),
 ])
 def test_config_refusals_name_their_field(build, overrides, field):
     with pytest.raises(ValueError) as info:
@@ -456,8 +463,9 @@ class _Counted:
         return self.rng.standard_normal()
 
 
-def _all_trial_words(seed, trials):
-    return np.concatenate(list(_trial_words(seed, trials, 32)))
+def _state_words(seed, trials):
+    """The state words of trials 0 to ``trials - 1``, as `run_memory` lays them out."""
+    return _trial_streams(seed, 0, trials).T.reshape(-1, 2, 2)
 
 
 @pytest.mark.parametrize("spread", [0.25, 1.5])
@@ -465,7 +473,7 @@ def test_block_draws_equal_one_at_a_time_draws(spread):
     """Same stream, same intervals; at spread 1.5 a quarter of the draws are
     rejected, runs of them span blocks, and the horizon falls mid-block."""
     rng, state = _stream_generator()
-    words = _all_trial_words(9, 40)
+    words = _state_words(9, 40)
     for k in range(40):
         for count, horizon in ((50, math.inf), (None, 60e-3), (None, 1e-4)):
             block = _toggle_times(rng, state, words[k:k + 1], _DRAW_BLOCK,
@@ -484,7 +492,7 @@ def test_chunked_draws_equal_one_at_a_time_draws(spread, count, horizon, chunk, 
     back is the first doubling at which no trial needs more normals."""
     trials = 70
     rng, state = _stream_generator()
-    words = _all_trial_words(5, trials)
+    words = _state_words(5, trials)
     for block in experiments._blocks(trials, chunk):
         flips, drawn = _toggle_times(rng, state, words[block.start:block.stop], width,
                                      2e-3, spread, count, horizon)
@@ -515,10 +523,12 @@ def _oracle_memory_magnitudes(config):
     return np.abs(acc / config.trials)
 
 
-def _default_rng_words(seed, trials, rows):
-    """`_trial_words` read from ``default_rng((seed, k)).bit_generator.state``."""
-    for chunk in experiments._blocks(trials, rows):
-        yield np.array([_as_words(*_default_rng_stream(seed, k)) for k in chunk], dtype=np.uint64)
+def _default_rng_chunks(seed, trials, events):
+    """`_trial_chunks` read from ``default_rng((seed, k)).bit_generator.state``,
+    32 trials a chunk whatever the ``events``."""
+    for chunk in experiments._blocks(trials, 32):
+        words = np.array([_as_words(*_default_rng_stream(seed, k)) for k in chunk], dtype=np.uint64)
+        yield chunk.start, words.reshape(-1, 4).T
 
 
 def _as_words(state, inc):
@@ -543,7 +553,7 @@ def test_run_memory_matches_the_schedule_oracle(overrides, monkeypatch):
         config = base_memory(**overrides)
     curve = run_memory(config)
     assert np.max(np.abs(curve.magnitudes - _oracle_memory_magnitudes(config))) < 1e-12
-    monkeypatch.setattr(experiments, "_trial_words", _default_rng_words)
+    monkeypatch.setattr(experiments, "_trial_chunks", _default_rng_chunks)
     assert np.array_equal(run_memory(config).magnitudes, curve.magnitudes)
 
 
@@ -620,19 +630,14 @@ def _recording_walk(monkeypatch):
 
 @pytest.mark.parametrize("budget", [100, experiments._CHUNK_EVENTS])
 def test_each_kernel_call_holds_at_most_the_entry_budget(budget, monkeypatch):
-    """A call holds at most the budget's entries, or one trial.  A pulsed
-    memory row holds the toggles its trial drew before the horizon, padded
-    to the widest row of its call, while rows are sized on their mean
-    number; so those calls get a tenth of slack."""
+    """A call holds at most the budget's entries, or one trial."""
     monkeypatch.setattr(experiments, "_CHUNK_EVENTS", budget)
     calls = _recording_walk(monkeypatch)
     for shape in TRANSMISSION_SHAPES.values():
         run_transmission(base_transmission(trials=_STREAM_BLOCK + 5, **shape))
     run_memory(_memory_config("plain", 300))
-    assert all(trials * entries <= budget or trials == 1 for trials, entries in calls)
-    calls.clear()
     run_memory(_memory_config("pulsed", 300))
-    assert all(trials * entries <= 1.1 * budget or trials == 1 for trials, entries in calls)
+    assert all(trials * entries <= budget or trials == 1 for trials, entries in calls)
 
 
 def _recording_draws(monkeypatch):
@@ -714,8 +719,7 @@ def test_run_transmission_matches_the_schedule_oracle(overrides, monkeypatch):
         schedule = transmission_schedule(config, delta, offset)
         expected = simulate_amplitudes(schedule, [config.total_time])[0] * trivial
         assert abs(amp - expected) < 1e-12
-    monkeypatch.setattr(experiments, "_transmission_draws",
-                        lambda config, start, stop: _uniform_draws(config, range(start, stop)))
+    monkeypatch.setattr(experiments, "_trial_chunks", _default_rng_chunks)
     assert np.array_equal(run_transmission(config).amplitudes, result.amplitudes)
 
 
@@ -798,18 +802,20 @@ def test_a_stream_block_peaks_under_its_budget(seed):
 
 
 def test_trial_states_run_across_stream_blocks():
-    """Chunks of ``rows`` trials, cut short where a stream block ends."""
+    """Chunks of the budget's share of trials, cut short where a stream block ends."""
     trials = _STREAM_BLOCK + 5
     rng, state = _stream_generator()
-    expected = np.concatenate(list(_default_rng_words(3, trials, 32)))
-    for rows in (32, 109, 2 * _STREAM_BLOCK):
-        chunks = list(_trial_words(3, trials, rows))
-        assert all(len(words) <= rows for words in chunks)
+    expected = np.concatenate([streams for _, streams in _default_rng_chunks(3, trials, 1)], axis=1)
+    for events, rows in ((256, 32), (75, 109), (1, experiments._CHUNK_EVENTS)):
+        chunks = list(experiments._trial_chunks(3, trials, events))
+        assert all(streams.shape[1] <= rows for _, streams in chunks)
         assert len(chunks) == -(-_STREAM_BLOCK // rows) + 1
-        words = np.concatenate(chunks)
-        assert np.array_equal(words, expected)
+        firsts = np.cumsum([0] + [streams.shape[1] for _, streams in chunks])
+        assert [first for first, _ in chunks] == firsts[:-1].tolist()
+        streams = np.concatenate([streams for _, streams in chunks], axis=1)
+        assert np.array_equal(streams, expected)
     # a generator set to derived words draws what default_rng draws
-    state[:] = words[-1]
+    state[:] = streams[:, -1].reshape(2, 2)
     assert np.array_equal(rng.standard_normal(40),
                           np.random.default_rng((3, trials - 1)).standard_normal(40))
 
@@ -831,7 +837,7 @@ def test_written_words_give_default_rng_state_and_draws(seed):
     32-bit half included, before and after 64 normals; and the same normals."""
     ks = [0, 1, _STREAM_BLOCK - 1, _STREAM_BLOCK, _STREAM_BLOCK + 1]
     rng, state = _stream_generator()
-    words = _all_trial_words(seed, ks[-1] + 1)
+    words = _state_words(seed, ks[-1] + 1)
     for k in ks:
         expected = np.random.default_rng((seed, k))
         state[:] = words[k]
@@ -843,10 +849,13 @@ def test_written_words_give_default_rng_state_and_draws(seed):
 @pytest.mark.parametrize("random_phase", [False, True])
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3, 2**128 + 7])
 def test_transmission_draws_equal_per_trial_uniforms(seed, random_phase):
+    """The uniforms `run_transmission` computes from a trial's stream, as numpy does."""
     config = base_transmission(seed=seed, total_time=9e-3, bang_bang=True, pulse_spacing=0.3e-3,
                                random_train_phase=random_phase)
     for trials in (range(0, 2000), range(4090, 4100)):
-        windows, offsets = _transmission_draws(config, trials.start, trials.stop)
+        streams = _trial_streams(seed, trials.start, trials.stop)
+        windows = 0.0 + (2 * PI / config.j) * _next_doubles(streams)
+        offsets = 0.0 + config.pulse_spacing * _next_doubles(streams) if random_phase else np.zeros(len(trials))
         expected_windows, expected_offsets = _uniform_draws(config, trials)
         assert np.array_equal(windows, expected_windows)
         assert np.array_equal(offsets, expected_offsets)
