@@ -56,7 +56,8 @@ class ConfigError(Exception):
         super().__init__(f"{message} (at {location})" if location else message)
 
 
-# a number as 12 significant digits; the same bytes as f"{float(x):.12g}"
+# a number as 12 significant digits; the same bytes as f"{float(x):.12g}",
+# which `_csv_block` writes itself but for the cells it passes to this
 _fmt = "%.12g".__mod__
 
 
@@ -239,21 +240,114 @@ def _build_memory(params: dict, seed: int) -> list[experiments.MemoryConfig]:
 # ---------------------------------------------------------------------------
 
 # rows formatted at a time, so the writer's memory does not grow with the row count
-_CSV_ROWS = 1024
+_CSV_ROWS = 512
+# a block of fewer cells is formatted one `_fmt` call a cell: below this the
+# fixed cost of `_csv_block`, about 80 us a block, outweighs what it saves
+_VECTOR_CELLS = 240
+
+
+def _kernel_tables():
+    """`_csv_block`'s tables, built with array ops to keep the import cheap:
+    powers of ten, 4-digit groups, their trailing zeros and the cell templates."""
+    powers = np.array([float(10**k) for k in range(17)])   # exact doubles up to 10**22
+    groups = np.full((10, 10, 10, 10, 8), ord("."), np.uint8)   # "d.d.d.d." for "0000".."9999"
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    groups[..., 0], groups[..., 2] = digit[:, None, None, None], digit[:, None, None]
+    groups[..., 4], groups[..., 6] = digit[:, None], digit
+    trailing = np.zeros((10, 10, 10, 10), np.intp)   # trailing zeros of "0000".."9999"
+    trailing[..., 0] = 1
+    trailing[..., 0, 0] = 2
+    trailing[..., 0, 0, 0] = 3
+    trailing[0, 0, 0, 0] = 4
+    # a cell is 32 bytes: "\0\0-0.000", then digit j at byte 8 + 2j with a "."
+    # after it.  Its template by (e, trailing zeros, sign) keeps the prefix
+    # bytes it prints, and 0xff over the digits and the point it prints.
+    keep = np.zeros((16, 12, 2, 32), bool)
+    e = np.arange(-4, 12)[:, None, None, None]
+    last = 11 - np.arange(12)[:, None, None]   # the last significant digit
+    j = np.arange(12)
+    keep[:, :, 1, 2] = True                        # "-"
+    keep[..., 3:5] = e < 0                         # "0."
+    keep[..., 5:8] = np.arange(3) < -1 - e         # the zeros after it
+    keep[..., 8::2] = j <= np.maximum(last, e)     # digit j
+    keep[..., 9::2] = (j == e) & (last > e)        # the point after digit e
+    template = np.frombuffer(b"\0\0-0.000" + b"\xff" * 24, np.uint8)
+    return (powers, groups.view(np.uint64).ravel(), trailing.ravel(),
+            (keep * template).view(np.uint64).reshape(-1, 4))
+
+
+_POW10, _GROUPS, _TRAILING, _CELLS = _kernel_tables()
+
+
+def _csv_block(cells: np.ndarray) -> bytes:
+    """The CSV text of a (rows, columns) block of numbers: each cell the bytes
+    of ``"%.12g" % v``, with "," between cells and a newline after each row.
+
+    Each cell is rounded to 12 digits ``n`` and an exponent ``e`` and laid out
+    in fixed columns, whose dropped bytes are zeroed and deleted at the end.
+    A cell whose bytes this cannot prove goes through `_fmt`: zero, inf and
+    NaN, exponent form (``e < -4`` or ``e >= 12``) and near-ties.
+    """
+    v = cells.ravel()
+    with np.errstate(all="ignore"):
+        # log10 only guesses e, one off at worst: the scaled value shows which
+        # way.  Zero, inf and NaN get no meaningful e and fail the checks below,
+        # as does an e off the power table, which `take` clips.
+        a = np.abs(v)
+        e = np.floor(np.log10(a)).astype(np.intp)
+        scaled = a * _POW10.take(11 - e, mode="clip")
+        e += scaled >= 1e12
+        e -= scaled < 1e11
+        # one rounding of a product with an exact power of ten, so within 2**-14
+        # of a * 10**(11 - e): its nearest integer is exact unless near a tie
+        scaled = a * _POW10.take(11 - e, mode="clip")
+        n = np.rint(scaled)
+        exact = np.abs(n - scaled) < 0.499
+        carry = n == 1e12
+        e += carry
+        n[carry] = 1e11
+        row = e + 4
+        # n has 12 digits and -4 <= e < 12, or the cell goes through _fmt
+        slow = ~(exact & (np.abs(n - 5.5e11) <= 4.5e11) & (row.view(np.uintp) < 16))
+    n[slow] = 1e11   # any valid table index; these cells are overwritten
+    row[slow] = 0
+    high, rest = np.divmod(n.astype(np.int64), 10**8)
+    middle, low = np.divmod(rest, 10**4)
+    zeros = np.where(low, _TRAILING[low], np.where(middle, 4 + _TRAILING[middle], 8 + _TRAILING[high]))
+    words = _CELLS.take((row * 12 + zeros) * 2 + (v < 0), axis=0)
+    words[:, 1] &= _GROUPS[high]
+    words[:, 2] &= _GROUPS[middle]
+    words[:, 3] &= _GROUPS[low]
+    slow = np.flatnonzero(slow)
+    if slow.size:
+        text = [_fmt(x) for x in v[slow].tolist()]
+        words[slow] = np.array(text, "S32").view(np.uint64).reshape(-1, 4)
+    ends = words.view(np.uint8).reshape(*cells.shape, 32)[..., 31]   # never kept
+    ends[:, :-1] = ord(",")
+    ends[:, -1] = ord("\n")
+    return words.tobytes().translate(None, b"\0")
 
 
 def _write_csv(path: Path, header: str, index: range | None, *values: np.ndarray) -> None:
-    """Write ``header`` and a row per entry of ``values``: the ``index``, if
-    given, then each value through `_fmt`, a block of `_CSV_ROWS` rows at a time."""
+    """Write ``header`` and a row per entry of ``values``: the row number, if
+    ``index`` (``range(len(values[0]))``) is given, then each value as `_fmt`
+    writes it.  Rows are written a block of `_CSV_ROWS` at a time, and a block
+    of `_VECTOR_CELLS` or more cells goes through `_csv_block`."""
     columns = ([] if index is None else [index]) + list(values)
     row = ",".join(["%s"] * len(columns)) + "\n"
-    with path.open("w", newline="\n") as f:
-        f.write(header + "\n")
+    with path.open("wb") as f:
+        f.write(header.encode() + b"\n")
         for start in range(0, len(values[0]), _CSV_ROWS):
             block = slice(start, start + _CSV_ROWS)
+            rows = len(values[0][block])
+            if rows * len(columns) >= _VECTOR_CELLS:
+                # an integer below 10**12 prints the same under %.12g as under %d
+                f.write(_csv_block(np.stack([np.arange(start, start + rows) if column is index
+                                             else column[block] for column in columns], axis=1)))
+                continue
             cells = [column[block] if column is index else map(_fmt, column[block].tolist())
                      for column in columns]
-            f.write(row * len(columns[0][block]) % tuple(chain.from_iterable(zip(*cells))))
+            f.write((row * rows % tuple(chain.from_iterable(zip(*cells)))).encode())
 
 
 def _report(path: Path, lines: list[str]) -> None:

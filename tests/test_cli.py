@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dephasim import MemoryConfig, cli, experiments, run_memory
-from dephasim.cli import (_CSV_ROWS, _PARAM_KEYS, ConfigError, _fmt, _spread_suffix, _write_csv,
-                          load_config, main, run)
+from dephasim.cli import (_CSV_ROWS, _PARAM_KEYS, _VECTOR_CELLS, ConfigError, _csv_block, _fmt,
+                          _spread_suffix, _write_csv, load_config, main, run)
 
 
 def write_json(path, doc):
@@ -653,7 +653,8 @@ def _old_fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-@pytest.mark.parametrize("rows", [1, _CSV_ROWS - 1, _CSV_ROWS, _CSV_ROWS + 1, 2 * _CSV_ROWS + 1])
+@pytest.mark.parametrize("rows", [1, _CSV_ROWS - 1, _CSV_ROWS, _CSV_ROWS + 1, 2 * _CSV_ROWS - 1,
+                                  2 * _CSV_ROWS, 2 * _CSV_ROWS + 1, 4 * _CSV_ROWS + 1])
 def test_csvs_written_in_blocks_match_the_per_row_formula(tmp_path, rows):
     doc = transmission_doc()
     doc["params"].update(trials=rows, group_size=1)   # one group a trial, so both CSVs have rows rows
@@ -682,37 +683,98 @@ def test_csvs_written_in_blocks_match_the_per_row_formula(tmp_path, rows):
 
 def test_write_csv_memory_does_not_grow_with_rows(tmp_path):
     """Formatting a block at a time keeps the writer's peak at a few hundred
-    kB; all the rows' strings at once take about 3.5 MB at 20,000 rows."""
-    rows = 20_000
-    values = np.random.default_rng(0).standard_normal((2, rows))
-    tracemalloc.start()
-    try:
-        _write_csv(tmp_path / "t.csv", "trial,amplitude_re,amplitude_im", range(rows), *values)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
-    assert len((tmp_path / "t.csv").read_bytes().splitlines()) == rows + 1
+    kB whatever the row count; all the rows' strings at once take about 3.5 MB
+    at 20,000 rows."""
+    values = np.random.default_rng(0).standard_normal((2, 20_000))
+    peaks = {}
+    for rows in (2_000, 20_000):
+        tracemalloc.start()
+        try:
+            _write_csv(tmp_path / "t.csv", "trial,amplitude_re,amplitude_im", range(rows),
+                       *values[:, :rows])
+            peaks[rows] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len((tmp_path / "t.csv").read_bytes().splitlines()) == rows + 1
+    assert peaks[20_000] < 400_000
+    assert abs(peaks[20_000] - peaks[2_000]) <= 0.05 * peaks[2_000]
 
 
-@pytest.mark.parametrize("doc", [transmission_doc(), memory_doc()], ids=["transmission", "memory"])
-def test_every_csv_value_cell_goes_through_fmt(tmp_path, monkeypatch, doc):
-    """Patching `cli._fmt` changes every value cell of every CSV, and no index cell."""
-    config = write_json(tmp_path / "c.json", doc)
-    assert main([config, "--out", str(tmp_path / "plain")]) == 0
-    monkeypatch.setattr(cli, "_fmt", lambda x: f"<{_fmt(x)}>")
-    assert main([config, "--out", str(tmp_path / "marked")]) == 0
-    names = sorted(p.name for p in (tmp_path / "plain").glob("*.csv"))
-    assert names and names == sorted(p.name for p in (tmp_path / "marked").glob("*.csv"))
-    for name in names:
-        plain = (tmp_path / "plain" / name).read_text().splitlines()
-        marked = (tmp_path / "marked" / name).read_text().splitlines()
-        assert marked[0] == plain[0]
-        indexed = plain[0].split(",")[0] in ("trial", "group")
-        for plain_row, marked_row in zip(plain[1:], marked[1:], strict=True):
-            cells = plain_row.split(",")
-            assert marked_row.split(",") == [
-                cell if indexed and i == 0 else f"<{cell}>" for i, cell in enumerate(cells)]
+def _printf_rows(block: np.ndarray) -> bytes:
+    """A block's CSV text, one ``"%.12g" %`` a cell."""
+    return "".join(",".join("%.12g" % x for x in row) + "\n" for row in block.tolist()).encode()
+
+
+def _assert_csv_block_is_printf(values: np.ndarray, columns: int = 3) -> None:
+    """`_csv_block` gives the bytes of ``"%.12g" %`` on ``values``, taken
+    `_CSV_ROWS` rows of ``columns`` cells at a time."""
+    blocks = np.asarray(values, float).reshape(-1, columns)
+    for start in range(0, len(blocks), _CSV_ROWS):
+        block = blocks[start:start + _CSV_ROWS]
+        assert _csv_block(block) == _printf_rows(block), block
+
+
+def test_csv_block_matches_printf_on_a_million_values():
+    rng = np.random.default_rng(20)
+    count = 258_048   # four sets make 1,032,192 values
+    signs = rng.choice([-1.0, 1.0], count)
+    for values in (
+        rng.uniform(-1.0, 1.0, count),
+        signs * 10.0 ** rng.uniform(-320.0, 308.0, count),
+        rng.integers(0, 2**64, count, dtype=np.uint64).view(np.float64),
+        rng.integers(0, experiments.MAX_TRIALS, count, endpoint=True),
+    ):
+        _assert_csv_block_is_printf(values)
+
+
+def _edge_values() -> list[float]:
+    values = [0.0, 5e-324, math.inf, math.nan, 1e-5, 1e-4, 9.99999999999e-5, 0.99999999999995,
+              999999999999.5, 123456789012.5, 9.9999999999995e-5, 99999999999.99, 999999999999.7]
+    for k in range(-22, 23):
+        power = 10.0**k
+        values += [np.nextafter(power, 0.0), power, np.nextafter(power, math.inf)]
+    # decimal ties at the 12th digit, most of them a little off the tie in binary
+    rng = np.random.default_rng(12)
+    values += list((rng.integers(10**11, 10**12, 2_000) + 0.5) / 10.0 ** rng.integers(0, 17, 2_000))
+    return values + [-x for x in values]
+
+
+@pytest.mark.parametrize("columns", [1, 2, 3])
+def test_csv_block_matches_printf_on_edge_values(columns):
+    _assert_csv_block_is_printf(_edge_values() * columns, columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=60), st.integers(1, 4))
+def test_csv_block_matches_printf_on_any_floats(values, columns):
+    block = np.array(values * columns).reshape(-1, columns)
+    assert _csv_block(block) == _printf_rows(block)
+
+
+def test_csv_block_calls_fmt_only_for_zeros_exponent_form_and_near_ties(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_fmt", lambda x: calls.append(x) or _fmt(x))
+    # rounding carries to 1, 0.0001 and 100000000000 without _fmt, and to 1e+12 with it
+    values = [0.99999999999995, 9.9999999999995e-5, 99999999999.99, 0.0, -0.0, math.inf, 1e-5,
+              999999999999.7, 123456789012.5]
+    assert _csv_block(np.array(values)[:, None]) == _printf_rows(np.array(values)[:, None])
+    assert calls == values[3:]
+    calls.clear()
+    _csv_block(np.random.default_rng(4).uniform(-1.0, 1.0, (10_000, 3)))
+    assert len(calls) < 0.01 * 30_000   # near-ties and |v| < 1e-4 only
+
+
+@pytest.mark.parametrize("cells", [_VECTOR_CELLS - 1, _VECTOR_CELLS])
+def test_blocks_on_both_sides_of_the_crossover_match_the_per_row_formula(tmp_path, monkeypatch, cells):
+    """A block of `_VECTOR_CELLS` cells or more goes through `_csv_block`, a
+    smaller one through `_fmt` a cell; both write the per-row formula's bytes."""
+    values = np.random.default_rng(cells).standard_normal(cells)
+    values[:6] = [0.0, -0.0, math.nan, math.inf, 1e-7, 123456789012.5]   # each through _fmt
+    blocks = []
+    monkeypatch.setattr(cli, "_csv_block", lambda block: blocks.append(block) or _csv_block(block))
+    _write_csv(tmp_path / "t.csv", "magnitude", None, values)
+    assert (tmp_path / "t.csv").read_bytes() == _per_row_csv("magnitude", map(_old_fmt, values))
+    assert len(blocks) == (cells >= _VECTOR_CELLS)
 
 
 def test_fmt_and_spread_suffix():
