@@ -412,8 +412,12 @@ def _run_memory(configs: list[experiments.MemoryConfig], out: Path) -> None:
     for config in configs:
         spread = config.interval_spread
         curve = experiments.run_memory(config)
-        _write_csv(out / f"decay_{_spread_suffix(spread)}.csv", "time_s,magnitude,fit_magnitude",
-                   None, curve.times, curve.magnitudes, curve.fit.magnitude(curve.times))
+        path = out / f"decay_{_spread_suffix(spread)}.csv"
+        if curve.fit is None:
+            _write_csv(path, "time_s,magnitude", None, curve.times, curve.magnitudes)
+        else:
+            _write_csv(path, "time_s,magnitude,fit_magnitude",
+                       None, curve.times, curve.magnitudes, curve.fit.magnitude(curve.times))
         n_cycles = config.cycle_counts()[-1]
         if config.bang_bang:
             t2_pred = experiments.bang_bang_dephasing_time(
@@ -423,15 +427,20 @@ def _run_memory(configs: list[experiments.MemoryConfig], out: Path) -> None:
             t2_pred = experiments.dephasing_time(config.j, spread, config.mean_interval)
             retention = experiments.interval_noise_retention(config.j, config.mean_interval, spread)
         final_pred = retention**n_cycles
-        t2_sim = curve.fit.t2 if curve.fit.decaying else math.inf
         contrast = (
             f"{experiments.decay_contrast(float(curve.magnitudes[-1]), 1.0, spread):9.3f}"
             if spread > 0 else "      n/a"
         )
+        if curve.fit is None:
+            t2_sim, t2_dev, note = "n/a", "n/a", (f"  t2 not resolved: fewer than 3 magnitudes "
+                                                  f"above {_fmt(experiments.FIT_FLOOR)}")
+        else:
+            t2 = curve.fit.t2 if curve.fit.decaying else math.inf
+            t2_sim, note = f"{t2:.6g}", ""
+            t2_dev = _pct(t2, t2_pred) if math.isfinite(t2_pred) and math.isfinite(t2) else "n/a"
         rows.append(
-            f"  {spread:6.3f}   {t2_sim:<12.6g}  {t2_pred:<12.6g}  "
-            f"{_pct(t2_sim, t2_pred) if math.isfinite(t2_pred) and math.isfinite(t2_sim) else 'n/a':>7}  "
-            f"{float(curve.magnitudes[-1]):10.6f}  {final_pred:10.6f}  {contrast}"
+            f"  {spread:6.3f}   {t2_sim:<12}  {t2_pred:<12.6g}  {t2_dev:>7}  "
+            f"{float(curve.magnitudes[-1]):10.6f}  {final_pred:10.6f}  {contrast}{note}"
         )
     # the header reads only settings that every spread shares
     header = [

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -203,6 +204,7 @@ class MemoryConfig:
             raise FieldError("observation_times", "observation times must stay below half the largest float")
         cycle = 2.0 * self.mean_interval
         prev = 0.0
+        cycles = []
         for t in self.observation_times:
             if t <= prev:
                 raise FieldError("observation_times",
@@ -211,11 +213,13 @@ class MemoryConfig:
             if round(n) < 1 or abs(n - round(n)) > 1e-9 * max(n, 1.0):
                 raise FieldError("observation_times", f"observation time {t:.12g} is not a "
                                  f"multiple of one toggle cycle {cycle:.12g}")
+            cycles.append(round(n))
             prev = t
+        object.__setattr__(self, "_cycles", tuple(cycles))
 
     def cycle_counts(self) -> tuple[int, ...]:
-        cycle = 2.0 * self.mean_interval
-        return tuple(int(round(t / cycle)) for t in self.observation_times)
+        """The toggle cycles each observation time spans."""
+        return self._cycles
 
 
 def _check_finite(**values) -> None:
@@ -292,11 +296,12 @@ class ExponentialFit:
 
 @dataclass(frozen=True, eq=False)
 class DecayCurve:
-    """Grand-average magnitude versus observation time, with its fit."""
+    """Grand-average magnitude versus observation time, with its fit; ``fit``
+    is None where fewer than three magnitudes lie above `FIT_FLOOR`."""
 
     times: np.ndarray
     magnitudes: np.ndarray
-    fit: ExponentialFit
+    fit: ExponentialFit | None
 
     def __post_init__(self):
         self.times.setflags(write=False)
@@ -688,7 +693,23 @@ def _next_doubles(streams: np.ndarray) -> np.ndarray:
     return (out >> _SHIFT_11) * _DOUBLE_UNIT
 
 
+_THREAD = threading.local()
+
+
 def _stream_generator() -> tuple[np.random.Generator, np.ndarray]:
+    """This thread's `_new_stream_generator`, built on the thread's first call.
+
+    Per thread, not per process: two runs writing their trials' words into
+    one generator at once would draw each other's streams.  Reuse within a
+    thread is safe, since a trial writes the whole ``{state, inc}`` before
+    its draws.
+    """
+    if not hasattr(_THREAD, "stream_generator"):
+        _THREAD.stream_generator = _new_stream_generator()
+    return _THREAD.stream_generator
+
+
+def _new_stream_generator() -> tuple[np.random.Generator, np.ndarray]:
     """A PCG64 generator and a writable ``(2, 2)`` view of its state words.
 
     ``bit_generator.ctypes.state_address`` points to numpy's ``pcg64_state``,
@@ -699,8 +720,7 @@ def _stream_generator() -> tuple[np.random.Generator, np.ndarray]:
     reversed when a probe state, set through numpy's own setter, reads back
     low word first.  The setter also clears the buffered 32-bit half, which
     ``standard_normal`` never uses, so writing a trial's words sets the whole
-    state.  The view does not keep ``rng`` alive: use it only while ``rng``
-    is referenced.
+    state.
     """
     rng = np.random.Generator(np.random.PCG64())
     address = ctypes.c_void_p.from_address(rng.bit_generator.ctypes.state_address).value
@@ -795,9 +815,10 @@ def _toggle_times(rng, state: np.ndarray, words: np.ndarray, width: int, mean: f
     draw in 30,000.
     """
     values = np.empty((len(words), width))
+    normal = rng.standard_normal
     for row, trial in zip(values, words):
         state[:] = trial
-        rng.standard_normal(out=row)
+        normal(out=row)
     # mean * (1 + spread * xi) in the scalar form's order, so values match it bit for bit
     values *= spread
     values += 1.0
@@ -814,8 +835,10 @@ def _toggle_times(rng, state: np.ndarray, words: np.ndarray, width: int, mean: f
             return flips[:, :count].copy(), width   # a copy frees the wider draw
     else:
         need = (flips <= horizon).sum(axis=1) + 1
-        if need.max() <= width and np.isfinite(flips[np.arange(len(words)), need - 1]).all():
-            return np.take_along_axis(flips, np.minimum(np.arange(need.max()), need[:, None] - 1), axis=1), width
+        widest = need.max()
+        if widest <= width and np.isfinite(last := flips[np.arange(len(words)), need - 1]).all():
+            # rows never decrease: each row's flips up to its first past the horizon, then that one
+            return np.minimum(flips[:, :widest], last[:, None]), width
     return _toggle_times(rng, state, words, 2 * width, mean, spread, count, horizon)
 
 
@@ -833,32 +856,34 @@ def run_memory(config: MemoryConfig) -> DecayCurve:
     else:
         count = expected = 2 * max(config.cycle_counts())
         snapshot_flips = np.array(config.cycle_counts()) * 2 - 1
-    # one generator, set to trial k's stream by writing k's words before k's draws
+    # this thread's generator, set to trial k's stream by writing k's words before k's draws
     rng, state = _stream_generator()
     # the width chunks draw at; it only grows, so a chunk is drawn twice only where it does
     width = _DRAW_BLOCK
     while width < expected:
         width *= 2
+    # every trial's observation times and train, as views a chunk slices its rows from
+    all_times = np.broadcast_to(times, (config.trials, len(times)))
+    all_pulses = np.broadcast_to(train, (config.trials, len(train)))
     acc = np.zeros(len(times), dtype=complex)
     held = np.empty((0, len(times)), dtype=complex)   # amplitudes of a group not yet summed
     # snapshots, train and expected toggles a trial; a draw chunk is a kernel chunk
-    for _, streams in _trial_chunks(config.seed, config.trials, len(times) + len(train) + expected):
+    for first, streams in _trial_chunks(config.seed, config.trials, len(times) + len(train) + expected):
         words = streams.T.reshape(-1, 2, 2)   # laid out like the view of `_stream_generator`
+        rows = slice(first, first + len(words))
         # with the pulse train, a row's padding lies past the horizon
         toggles, width = _toggle_times(rng, state, words, width, config.mean_interval,
                                        config.interval_spread, count, horizon)
-        if count is None:
-            snapshots = np.broadcast_to(times, (len(words), len(times)))
-        else:
-            snapshots = toggles[:, snapshot_flips]
-        pulses = np.broadcast_to(train, (len(words), len(train)))
-        held = np.concatenate((held, phase_walk(config.j, toggles, pulses, signs, snapshots)))
-        *groups, held = np.split(held, range(_SUM_TRIALS, len(held) + 1, _SUM_TRIALS))
-        for group in groups:
-            acc += group.sum(axis=0)
+        snapshots = all_times[rows] if count is None else toggles[:, snapshot_flips]
+        held = np.concatenate((held, phase_walk(config.j, toggles, all_pulses[rows], signs, snapshots)))
+        done = len(held) - len(held) % _SUM_TRIALS
+        for start in range(0, done, _SUM_TRIALS):
+            acc += held[start:start + _SUM_TRIALS].sum(axis=0)
+        held = held[done:]
     acc += held.sum(axis=0)
     magnitudes = np.abs(acc / config.trials)
-    fit = fit_exponential(times, magnitudes)
+    # too few points above the floor leave the decay unresolved, not an error
+    fit = fit_exponential(times, magnitudes) if np.count_nonzero(magnitudes > FIT_FLOOR) >= 3 else None
     return DecayCurve(times=times, magnitudes=magnitudes, fit=fit)
 
 
@@ -875,8 +900,9 @@ def fit_exponential(times, magnitudes, floor: float = FIT_FLOOR) -> ExponentialF
     if times.shape != magnitudes.shape:
         raise ValueError("times and magnitudes must have matching shapes")
     keep = magnitudes > floor
-    if keep.sum() < 3:
-        raise ValueError(f"need at least 3 points above floor={floor}, have {int(keep.sum())}")
+    used = int(np.count_nonzero(keep))
+    if used < 3:
+        raise ValueError(f"need at least 3 points above floor={floor}, have {used}")
     t = times[keep]
     y = np.log(magnitudes[keep])
     design = np.stack([t, np.ones_like(t)], axis=1)
@@ -884,5 +910,5 @@ def fit_exponential(times, magnitudes, floor: float = FIT_FLOOR) -> ExponentialF
     residual = float(np.sqrt(np.mean((design @ [slope, intercept] - y) ** 2)))
     # flat within roundoff: a log-drop under 1e-12 across the window is noise
     if slope * (t.max() - t.min()) > -1e-12:
-        return ExponentialFit(math.inf, float(intercept), residual, int(keep.sum()), False)
-    return ExponentialFit(float(-1.0 / slope), float(intercept), residual, int(keep.sum()), True)
+        return ExponentialFit(math.inf, float(intercept), residual, used, False)
+    return ExponentialFit(float(-1.0 / slope), float(intercept), residual, used, True)

@@ -173,7 +173,7 @@ def test_criterion_6_pulse_train_slows_memory_decay_to_the_sinc_law():
     print(f"\npulse-train memory: magnitude at 60 ms = {final:.4f} "
           f"(target 0.562 +/- 0.02, closed form {predicted:.4f}), {elapsed:.1f} s")
     assert abs(final - 0.562) < 0.02
-    assert elapsed < 0.5
+    assert elapsed < 0.35
 
 
 def test_criterion_7_rotating_frame_residual_shrinks_quadratically():

@@ -453,6 +453,26 @@ def test_overflowing_closed_forms_report_no_deviation(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_unresolved_decay_writes_its_magnitudes_and_exits_0(tmp_path, capsys):
+    """At this coupling every magnitude is Monte Carlo noise, below FIT_FLOOR:
+    the run used to exit 2 with an empty output directory.  Now the CSV keeps
+    the magnitudes without a fit column and the summary says so."""
+    doc = {"experiment": "memory", "seed": 1, "params": {
+        "j_hz": 1.6e159, "mean_interval": 2e-3, "interval_spread": 0.1,
+        "observation_times": {"max_time": 20e-3}, "trials": 20000}}
+    out = tmp_path / "results"
+    assert main([write_json(tmp_path / "c.json", doc), "--out", str(out)]) == 0
+    assert "error" not in capsys.readouterr().err
+    header, *rows = (out / "decay_a010.csv").read_text().splitlines()
+    assert header == "time_s,magnitude" and len(rows) == 5
+    assert all(0 < float(row.split(",")[1]) <= experiments.FIT_FLOOR for row in rows)
+    summary = (out / "summary.txt").read_text()
+    assert "nan" not in summary.lower()
+    row = summary.splitlines()[-1]
+    assert row.split()[:4] == ["0.100", "n/a", "0", "n/a"]
+    assert "t2 not resolved" in row
+
+
 @pytest.mark.parametrize("spacing", [1e-5, 2e-5, 5e-5, 1e-4, 2e-4])
 def test_pulsed_memory_train_ending_on_the_horizon_runs(tmp_path, spacing):
     """k * spacing rounds past max_time = 60 ms for these spacings."""

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 import warnings
 
 import numpy as np
@@ -394,12 +395,45 @@ def test_memory_zero_spread_keeps_full_amplitude():
 
 
 def test_run_memory_deterministic():
+    """Also after runs of other configs, or on a thread's new generator: the
+    reused generator carries nothing from one run to the next."""
     a = run_memory(base_memory())
     b = run_memory(base_memory())
     assert np.array_equal(a.magnitudes, b.magnitudes)
     assert a.fit == b.fit
     c = run_memory(base_memory(seed=3))
     assert not np.array_equal(a.magnitudes, c.magnitudes)
+    run_memory(_memory_config("pulsed", 300))
+    assert np.array_equal(_magnitudes(base_memory()), a.magnitudes)
+    with ThreadPoolExecutor(1) as pool:
+        assert np.array_equal(pool.submit(_magnitudes, base_memory()).result(), a.magnitudes)
+
+
+def test_stream_generator_is_one_per_thread():
+    """Calls in one thread return its one generator and view; another
+    thread builds its own."""
+    rng, state = _stream_generator()
+    again, again_state = _stream_generator()
+    assert again is rng and again_state is state
+    with ThreadPoolExecutor(1) as pool:
+        other, other_state = pool.submit(_stream_generator).result()
+    assert other is not rng
+    assert not np.shares_memory(other_state, state)
+
+
+def _magnitudes(config):
+    return run_memory(config).magnitudes
+
+
+def test_threads_running_memory_at_once_match_sequential_runs():
+    """Two threads each write their trials' words into their own generator;
+    one generator shared by both would draw from the other's streams."""
+    configs = [_memory_config(shape, 2000) for shape in ("plain", "pulsed")] * 3
+    sequential = [_magnitudes(config) for config in configs]
+    with ThreadPoolExecutor(2) as pool:
+        concurrent = list(pool.map(_magnitudes, configs))
+    for expected, got in zip(sequential, concurrent):
+        assert np.array_equal(got, expected)
 
 
 def _stub_toggle_times(rng, *args, **kwargs):
@@ -440,6 +474,17 @@ def test_intervals_run_until_their_sum_passes_the_horizon():
     # 2 ms + 2 ms lands exactly on a 4 ms horizon, which is not past it
     flips, _ = _stub_toggle_times(_Sequence([]), 2e-3, 0.25, horizon=4e-3)
     assert np.diff(flips[0], prepend=0.0) == pytest.approx([2e-3] * 3)
+    # several rows, each a row of normals, needing from 4 to 9 flips: each
+    # row is its own flips, then its first flip past the horizon repeated
+    normals = np.random.default_rng(0).uniform(-2.0, 2.0, (6, _DRAW_BLOCK))
+    flips, _ = _toggle_times(_Sequence(normals.ravel().tolist()), np.empty((2, 2), np.uint64),
+                             np.zeros((6, 2, 2), np.uint64), _DRAW_BLOCK, 2e-3, 0.25, horizon=9.1e-3)
+    sums = np.cumsum(2e-3 * (1.0 + 0.25 * normals), axis=1)
+    need = (sums <= 9.1e-3).sum(axis=1) + 1
+    assert len(set(need.tolist())) > 2 and flips.shape == (6, need.max())
+    for row, scalar, n in zip(flips, sums, need):
+        assert np.array_equal(row[:n], scalar[:n])
+        assert np.all(row[n:] == scalar[n - 1])
 
 
 def _one_at_a_time(rng, mean, spread, count=None, horizon=math.inf):
@@ -823,7 +868,7 @@ def test_trial_states_run_across_stream_blocks():
 def test_state_view_reads_numpy_state():
     """The view reads the probe state numpy's own setter wrote, and a state
     set later, as ``[[state_hi, state_lo], [inc_hi, inc_lo]]``."""
-    rng, state = _stream_generator()
+    rng, state = experiments._new_stream_generator()
     probe = rng.bit_generator.state["state"]
     assert state.tolist() == _as_words(probe["state"], probe["inc"])
     rng.bit_generator.state = np.random.default_rng((3, 7)).bit_generator.state
@@ -939,6 +984,14 @@ def test_fit_exponential_floor_and_errors():
         fit_exponential([1.0, 2.0, 3.0], [0.5, 0.01, 0.01])
     with pytest.raises(ValueError, match="matching shapes"):
         fit_exponential([1.0, 2.0], [0.5, 0.4, 0.3])
+
+
+def test_run_memory_leaves_a_decay_in_noise_unfitted():
+    """At this coupling every magnitude is Monte Carlo noise, below the
+    floor: the curve comes back with its magnitudes and no fit."""
+    curve = run_memory(base_memory(j=2 * PI * 1.6e159, interval_spread=0.1, trials=20000))
+    assert curve.fit is None
+    assert np.all((curve.magnitudes > 0) & (curve.magnitudes <= experiments.FIT_FLOOR))
 
 
 def test_fit_exponential_flags_non_decay():
