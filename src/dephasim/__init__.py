@@ -60,6 +60,7 @@ from .pulse import (
     rotation_pulse,
     simulate_amplitudes,
     simulate_schedule,
+    toggle_walk,
 )
 from .experiments import (
     DecayCurve,

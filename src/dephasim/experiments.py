@@ -34,6 +34,7 @@ from .pulse import (
     phase_walk,
     pi_pulse_signs,
     simulate_amplitudes,  # noqa: F401  the oracle; bench/bench.py traces calls through this name
+    toggle_walk,
 )
 
 # Points at or below this magnitude are ignored by the exponential fit;
@@ -48,7 +49,7 @@ MAX_TRIALS = 10_000_000
 # Normals a memory trial draws at least; a run starts at the first doubling
 # that holds the flips it expects, and doubles again while rows run short.
 _DRAW_BLOCK = 32
-# Trials x events entries a phase-walk call is sized for (a lone trial may hold more); bounds its arrays.
+# Trials x events entries a kernel call is sized for (a lone trial may hold more); bounds its arrays.
 _CHUNK_EVENTS = 8192
 # Memory trials summed as one group, whatever the rows per call; fixes the sum's order and last bits.
 _SUM_TRIALS = 32
@@ -253,8 +254,8 @@ def _check_run(config: TransmissionConfig | MemoryConfig, sparse: float, bound: 
 def _check_phase(j: float, time: float, field: str) -> None:
     """Refuse a ``time`` at which the phase ``j * time / 2`` overflows.
 
-    `phase_walk` returns ``exp(0.5j * j * psi)`` with ``|psi|`` at most the
-    latest snapshot time, and the trivial-phase factor is
+    `phase_walk` and `toggle_walk` return ``exp(0.5j * j * psi)`` with
+    ``|psi|`` at most the latest read time, and the trivial-phase factor is
     ``exp(-0.5j * j * total_time)``; an infinite phase makes both NaN.
     """
     if not math.isfinite(0.5 * j * time):
@@ -769,7 +770,8 @@ def run_transmission(config: TransmissionConfig) -> EnsembleResult:
     Trial k's stream ``rng = default_rng((config.seed, k))`` gives the window
     ``rng.uniform(0, period)`` and, with a random train phase, then the train
     offset ``rng.uniform(0, pulse_spacing)``.  Both are computed as numpy
-    does, ``low + (high - low) * rng.random()``.
+    does, ``low + (high - low) * rng.random()``.  Without a train the
+    toggles and the read time are the only events, for `toggle_walk`.
     """
     steps = signs = np.empty(0)
     if config.bang_bang:
@@ -780,12 +782,21 @@ def run_transmission(config: TransmissionConfig) -> EnsembleResult:
     # two toggles, a snapshot and the train a trial
     for first, streams in _trial_chunks(config.seed, config.trials, 3 + len(steps)):
         rows = streams.shape[1]
-        toggles = np.full((rows, 2), config.noise_start)
-        toggles[:, 1] += 0.0 + (2 * PI / config.j) * _next_doubles(streams)
-        offsets = 0.0 + config.pulse_spacing * _next_doubles(streams)[:, None] if config.random_train_phase else 0.0
-        pulses = np.broadcast_to(config.noise_start + offsets + steps, (rows, len(steps)))
-        snapshots = np.broadcast_to(config.total_time, (rows, 1))
-        amps[first:first + rows] = phase_walk(config.j, toggles, pulses, signs, snapshots)[:, 0]
+        # drawn before the chunk's arrays are built, which keeps the run's peak in `_trial_streams`
+        ends = config.noise_start + (0.0 + (2 * PI / config.j) * _next_doubles(streams))
+        if config.bang_bang:
+            toggles = np.stack((np.full(rows, config.noise_start), ends), axis=1)
+            offsets = 0.0 + config.pulse_spacing * _next_doubles(streams)[:, None] if config.random_train_phase else 0.0
+            pulses = np.broadcast_to(config.noise_start + offsets + steps, (rows, len(steps)))
+            snapshots = np.broadcast_to(config.total_time, (rows, 1))
+            amps[first:first + rows] = phase_walk(config.j, toggles, pulses, signs, snapshots)[:, 0]
+        else:
+            times = np.empty((rows, 3))
+            times[:, 0] = config.noise_start
+            # inside the config's 1e-12 slack the second toggle may pass the read, where it must not count
+            np.minimum(ends, config.total_time, out=times[:, 1])
+            times[:, 2] = config.total_time
+            amps[first:first + rows] = toggle_walk(config.j, times, (2,))[:, 0]
     if config.remove_trivial_phase:
         amps *= np.exp(-0.5j * config.j * config.total_time)
     return EnsembleResult(
@@ -843,39 +854,47 @@ def _toggle_times(rng, state: np.ndarray, words: np.ndarray, width: int, mean: f
 
 
 def run_memory(config: MemoryConfig) -> DecayCurve:
-    """Ensemble decay curve of the repeated-toggling experiment."""
+    """Ensemble decay curve of the repeated-toggling experiment.
+
+    Without the pulse train observation k is read at flip ``2 k - 1`` (k
+    the cycles it spans), so `toggle_walk` takes the flips alone.
+    """
     times = np.asarray(config.observation_times, dtype=float)
     horizon = times[-1]
-    train = signs = np.empty(0)
     count = None
     if config.bang_bang:
         train = _memory_train(config.pulse_spacing, horizon)
         signs = pi_pulse_signs(cyclic_axes(len(train)))
+        # every trial's observation times and train, as views a chunk slices its rows from
+        all_times = np.broadcast_to(times, (config.trials, len(times)))
+        all_pulses = np.broadcast_to(train, (config.trials, len(train)))
         # the flips before the horizon, with room for their count's spread
         expected = math.ceil(1.5 * horizon / config.mean_interval) + 1
+        # snapshots, train and expected toggles a trial
+        entries = len(times) + len(train) + expected
     else:
-        count = expected = 2 * max(config.cycle_counts())
-        snapshot_flips = np.array(config.cycle_counts()) * 2 - 1
+        entries = count = expected = 2 * max(config.cycle_counts())
+        read_flips = np.array(config.cycle_counts()) * 2 - 1
     # this thread's generator, set to trial k's stream by writing k's words before k's draws
     rng, state = _stream_generator()
     # the width chunks draw at; it only grows, so a chunk is drawn twice only where it does
     width = _DRAW_BLOCK
     while width < expected:
         width *= 2
-    # every trial's observation times and train, as views a chunk slices its rows from
-    all_times = np.broadcast_to(times, (config.trials, len(times)))
-    all_pulses = np.broadcast_to(train, (config.trials, len(train)))
     acc = np.zeros(len(times), dtype=complex)
     held = np.empty((0, len(times)), dtype=complex)   # amplitudes of a group not yet summed
-    # snapshots, train and expected toggles a trial; a draw chunk is a kernel chunk
-    for first, streams in _trial_chunks(config.seed, config.trials, len(times) + len(train) + expected):
+    # a draw chunk is a kernel chunk
+    for first, streams in _trial_chunks(config.seed, config.trials, entries):
         words = streams.T.reshape(-1, 2, 2)   # laid out like the view of `_stream_generator`
         rows = slice(first, first + len(words))
         # with the pulse train, a row's padding lies past the horizon
         toggles, width = _toggle_times(rng, state, words, width, config.mean_interval,
                                        config.interval_spread, count, horizon)
-        snapshots = all_times[rows] if count is None else toggles[:, snapshot_flips]
-        held = np.concatenate((held, phase_walk(config.j, toggles, all_pulses[rows], signs, snapshots)))
+        if config.bang_bang:
+            amps = phase_walk(config.j, toggles, all_pulses[rows], signs, all_times[rows])
+        else:
+            amps = toggle_walk(config.j, toggles, read_flips)
+        held = np.concatenate((held, amps))
         done = len(held) - len(held) % _SUM_TRIALS
         for start in range(0, done, _SUM_TRIALS):
             acc += held[start:start + _SUM_TRIALS].sum(axis=0)

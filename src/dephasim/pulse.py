@@ -271,6 +271,30 @@ def phase_walk(j: float, toggles: np.ndarray, pulses: np.ndarray, signs: np.ndar
     return eps * np.exp(0.5j * j * (sigma * psi))
 
 
+def toggle_walk(j: float, times: np.ndarray, at) -> np.ndarray:
+    """`phase_walk` for trials whose only events are toggles.
+
+    Each row of ``times`` holds one trial's toggle times, ascending; the
+    amplitude is read at the times in the columns ``at`` and returned as a
+    C-ordered (trials x len(at)) array.  A toggle changes nothing before
+    it, so a read time after the last toggle can be a column of its own.
+    The interval that toggle ``i`` ends has the rate sign ``(-1)**i``, so
+    ``psi`` is one cumulative sum of the signed intervals.  `phase_walk`
+    with snapshots at the read times gives the same bits: its extra
+    interval at a snapshot's toggle is ±0.0, and its ``eps`` and ``sigma``
+    are 1.
+    """
+    # interval lengths along the flattened rows, as in `phase_walk`; contiguous
+    # operands need no buffers; each row's first interval runs from t = 0
+    psi = np.empty(times.shape)
+    np.subtract(times.ravel()[1:], times.ravel()[:-1], out=psi.ravel()[1:])
+    psi[:, 0] = times[:, 0]
+    psi[:, 1::2] *= -1.0
+    np.cumsum(psi, axis=1, out=psi)
+    # take, not psi[:, at]: a group sum over the rows depends on their layout
+    return np.exp(0.5j * j * psi.take(at, axis=1))
+
+
 def lab_frame_hamiltonian(params: LabFrameParams) -> np.ndarray:
     """Diagonal lab-frame Hamiltonian ``-w1 Iz x I - w2 I x Iz + J Iz x Iz``."""
     iz = np.array([0.5, -0.5])

@@ -27,6 +27,7 @@ from dephasim import (
     simulate_amplitudes,
     simulate_schedule,
     transmission_schedule,
+    toggle_walk,
     transverse_amplitude,
 )
 from dephasim import experiments
@@ -640,7 +641,7 @@ def _memory_config(shape, trials):
 
 @pytest.mark.parametrize("shape", sorted(TRANSMISSION_SHAPES))
 def test_transmission_does_not_depend_on_the_entries_per_call(shape, monkeypatch):
-    """4,101 trials cross a stream block's edge."""
+    """8,197 trials cross a stream block's edge."""
     config = base_transmission(trials=_STREAM_BLOCK + 5, **TRANSMISSION_SHAPES[shape])
     runs = []
     for budget in ENTRY_BUDGETS:
@@ -662,14 +663,19 @@ def test_memory_does_not_depend_on_the_entries_per_call(shape, monkeypatch):
 
 
 def _recording_walk(monkeypatch):
-    """Patch the kernel to record each call's trials and entries a trial."""
+    """Patch both walks to record each call's trials and entries a trial."""
     calls = []
 
-    def recording(j, toggles, pulses, signs, snapshots):
+    def recording_phase(j, toggles, pulses, signs, snapshots):
         calls.append((len(snapshots), toggles.shape[1] + pulses.shape[1] + snapshots.shape[1]))
         return phase_walk(j, toggles, pulses, signs, snapshots)
 
-    monkeypatch.setattr(experiments, "phase_walk", recording)
+    def recording_toggle(j, times, at):
+        calls.append(times.shape)
+        return toggle_walk(j, times, at)
+
+    monkeypatch.setattr(experiments, "phase_walk", recording_phase)
+    monkeypatch.setattr(experiments, "toggle_walk", recording_toggle)
     return calls
 
 
@@ -683,6 +689,38 @@ def test_each_kernel_call_holds_at_most_the_entry_budget(budget, monkeypatch):
     run_memory(_memory_config("plain", 300))
     run_memory(_memory_config("pulsed", 300))
     assert all(trials * entries <= budget or trials == 1 for trials, entries in calls)
+
+
+@pytest.mark.parametrize("spread", [0.0, 0.25])
+def test_toggle_walk_gives_phase_walk_bytes_on_plain_memory_flips(spread):
+    """Flips as a plain memory run draws them, read at flips 2 k - 1: the
+    same bytes as `phase_walk` with snapshots there, in the same C order.
+    Seed 1's trials 1040-1072 hold trial 1072, which skips its eleventh draw
+    at spread 0.25."""
+    rng, state = _stream_generator()
+    words = _trial_streams(1, 1040, 1073).T.reshape(-1, 2, 2)
+    flips, _ = _toggle_times(rng, state, words, 64, 2e-3, spread, 50)
+    at = np.arange(1, 26) * 2 - 1
+    walked = toggle_walk(J_REF, flips, at)
+    merged = phase_walk(J_REF, flips, np.empty((len(flips), 0)), np.empty(0), flips[:, at])
+    assert walked.flags.c_contiguous
+    assert walked.tobytes() == merged.tobytes()
+
+
+def test_toggle_walk_gives_phase_walk_bytes_on_transmission_rows():
+    """Free transmission rows, toggles at noise_start and its end and the
+    read at total_time: the same bytes as `phase_walk`, also where the
+    second toggle lies on total_time or past it inside the config's 1e-12
+    slack, which the clamp keeps from counting."""
+    start, total = 1e-3, 1e-3 + 2 * PI / J_REF
+    ends = start + (0.0 + (2 * PI / J_REF) * _next_doubles(_trial_streams(7, 0, 1000)))
+    ends = np.concatenate((ends, [start, np.nextafter(total, 0.0), total, total + 1e-13]))
+    starts, totals = np.full(len(ends), start), np.full(len(ends), total)
+    walked = toggle_walk(J_REF, np.stack((starts, np.minimum(ends, total), totals), axis=1), (2,))
+    merged = phase_walk(J_REF, np.stack((starts, ends), axis=1), np.empty((len(ends), 0)), np.empty(0),
+                        totals[:, None])
+    assert walked.flags.c_contiguous
+    assert walked.tobytes() == merged.tobytes()
 
 
 def _recording_draws(monkeypatch):
@@ -707,6 +745,8 @@ def test_plain_memory_draws_each_chunk_once(monkeypatch):
                            observation_times=tuple(4e-3 * k for k in range(1, 26))))
     assert len(calls) > 1
     assert len(draws) == len(calls)
+    # a call holds the 50 flips a trial, not the 25 snapshots as well
+    assert calls[0] == (experiments._CHUNK_EVENTS // 50, 50)
 
 
 def test_pulsed_memory_draws_each_chunk_once(monkeypatch):

@@ -23,6 +23,7 @@ from dephasim import (
     simulate_amplitudes,
     simulate_schedule,
     tensor,
+    toggle_walk,
     transverse_amplitude,
     validate_density,
 )
@@ -325,6 +326,41 @@ def test_phase_walk_matches_simulate_amplitudes(chunk):
         events.sort(key=lambda ev: ev.time)
         total = max([float(snapshots[row, -1])] + [ev.time for ev in events])
         expected = simulate_amplitudes(PulseSchedule(sys, tuple(events), total), snapshots[row])
+        assert np.max(np.abs(amps[row] - expected)) < 1e-12
+
+
+@st.composite
+def toggle_chunks(draw):
+    """A chunk of 1-3 trials of 0-8 ascending toggles and a last column
+    at or after the last toggle, with the columns read: the last one and a
+    random subset of the rest."""
+    rows = draw(st.integers(1, 3))
+    n_toggles = draw(st.integers(0, 8))
+    times = []
+    for _ in range(rows):
+        toggles = sorted(draw(st.lists(_event_time, min_size=n_toggles, max_size=n_toggles)))
+        times.append(toggles + [max(toggles + [draw(_event_time)])])
+    read = draw(st.lists(st.booleans(), min_size=n_toggles, max_size=n_toggles))
+    at = np.flatnonzero(read + [True])
+    return np.array(times), at
+
+
+@settings(max_examples=100, deadline=None)
+@given(toggle_chunks())
+def test_toggle_walk_matches_simulate_amplitudes(chunk):
+    """The toggle-only walk against the state-vector oracle, trial by trial,
+    with toggles and reads at one instant on the coarse grid; the last
+    column is a read time only."""
+    times, at = chunk
+    sys = CouplingSystem(J_REF)
+    amps = toggle_walk(J_REF, times, at)
+    assert amps.shape == (len(times), len(at))
+    for row in range(len(times)):
+        toggles = times[row, :-1]
+        events = [PulseEvent(0.0, 1, "y", PI / 2)]
+        events += [PulseEvent(float(t), 2, axis, PI) for t, axis in zip(toggles, cyclic_axes(len(toggles)))]
+        schedule = PulseSchedule(sys, tuple(events), float(times[row, -1]))
+        expected = simulate_amplitudes(schedule, times[row, at])
         assert np.max(np.abs(amps[row] - expected)) < 1e-12
 
 
