@@ -54,7 +54,6 @@ from .pulse import (
     lab_frame_hamiltonian,
     phase_shift,
     phase_walk,
-    pi_pulse_signs,
     rotating_frame_check,
     rotating_frame_residual,
     rotation_pulse,

@@ -27,12 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pulse import (
+    AXIS_CYCLE,
     CouplingSystem,
     PulseEvent,
     PulseSchedule,
     cyclic_axes,
     phase_walk,
-    pi_pulse_signs,
     simulate_amplitudes,  # noqa: F401  the oracle; bench/bench.py traces calls through this name
     toggle_walk,
 )
@@ -46,8 +46,8 @@ MAX_TRIAL_EVENTS = 100_000
 # Most trials one run may have; also keeps the trial index k to the one
 # 32-bit entropy word that `_trial_streams` derives streams for.
 MAX_TRIALS = 10_000_000
-# Normals a memory trial draws at least; a run starts at the first doubling
-# that holds the flips it expects, and doubles again while rows run short.
+# Normals a memory trial draws at least; each chunk starts at the first doubling
+# that holds the flips the run expects, and doubles again while its rows run short.
 _DRAW_BLOCK = 32
 # Trials x events entries a kernel call is sized for (a lone trial may hold more); bounds its arrays.
 _CHUNK_EVENTS = 8192
@@ -135,7 +135,7 @@ class TransmissionConfig:
         """Length of the pi-pulse train.
 
         Defaults to enough pulses to span the worst-case noise window,
-        rounded up to a whole number of eight-pulse axis cycles.
+        rounded up to a whole number of `AXIS_CYCLE`s.
         """
         if self.pulses_per_trial is not None:
             if self.pulses_per_trial < 1:
@@ -145,7 +145,8 @@ class TransmissionConfig:
         # capped, so that a subnormal spacing gives a count over the limit, not an overflow
         needed = math.ceil(min((2 * PI / self.j + self.pulse_spacing) / self.pulse_spacing - 1e-12,
                                2 * MAX_TRIAL_EVENTS))
-        return ((needed + 7) // 8) * 8
+        cycle = len(AXIS_CYCLE)
+        return -(-needed // cycle) * cycle
 
 
 @dataclass(frozen=True)
@@ -448,23 +449,14 @@ def transmission_schedule(config: TransmissionConfig, delta: float, train_offset
     """
     if not 0.0 <= delta <= 2 * PI / config.j:
         raise ValueError("delta must lie within one coupling period")
-    events = [
-        PulseEvent(0.0, 1, "y", PI / 2),
-        PulseEvent(config.noise_start, 2, "x", PI),
-        PulseEvent(config.noise_start + delta, 2, "x", PI),
-    ]
+    pulses = ()
     if config.bang_bang:
-        spacing = config.pulse_spacing
-        assert spacing is not None
-        if not 0.0 <= train_offset < spacing:
+        if not 0.0 <= train_offset < config.pulse_spacing:
             raise ValueError("train_offset must lie in [0, pulse_spacing)")
-        start = config.noise_start + train_offset
-        for k, axis in enumerate(cyclic_axes(config.pulse_count())):
-            events.append(PulseEvent(start + k * spacing, 1, axis, PI))
+        pulses = config.noise_start + train_offset + np.arange(config.pulse_count()) * config.pulse_spacing
     elif train_offset != 0.0:
         raise ValueError("train_offset only applies with bang_bang")
-    events.sort(key=lambda ev: ev.time)
-    return PulseSchedule(CouplingSystem(config.j), tuple(events), config.total_time)
+    return _trial_schedule(config.j, (config.noise_start, config.noise_start + delta), pulses, config.total_time)
 
 
 def _memory_train(spacing: float, horizon: float) -> np.ndarray:
@@ -486,25 +478,28 @@ def memory_trial_schedule(config: MemoryConfig, intervals: np.ndarray) -> tuple[
     """
     flip_times = np.cumsum(intervals)
     horizon = max(config.observation_times)
-    events = [PulseEvent(0.0, 1, "y", PI / 2)]
     if config.bang_bang:
-        spacing = config.pulse_spacing
-        assert spacing is not None
-        kept = flip_times[flip_times <= horizon]
-        for t, axis in zip(kept, cyclic_axes(len(kept))):
-            events.append(PulseEvent(float(t), 2, axis, PI))
-        train = _memory_train(spacing, horizon)
-        for t, axis in zip(train, cyclic_axes(len(train))):
-            events.append(PulseEvent(float(t), 1, axis, PI))
+        toggles = flip_times[flip_times <= horizon]
+        pulses = _memory_train(config.pulse_spacing, horizon)
         snapshots = np.asarray(config.observation_times, dtype=float)
         total = horizon
     else:
-        for t, axis in zip(flip_times, cyclic_axes(len(flip_times))):
-            events.append(PulseEvent(float(t), 2, axis, PI))
+        toggles, pulses = flip_times, ()
         snapshots = flip_times[np.array(config.cycle_counts()) * 2 - 1]
         total = float(flip_times[-1])
+    return _trial_schedule(config.j, toggles, pulses, total), snapshots
+
+
+def _trial_schedule(j: float, toggles, pulses, total_time: float) -> PulseSchedule:
+    """The schedule of one trial, as `phase_walk` walks it: a y pi/2 pulse at
+    t = 0, then pi pulses at the times ``toggles`` on qubit 2 and ``pulses``
+    on qubit 1, each kind about the axes of `AXIS_CYCLE` in turn; a stable
+    sort by time keeps toggles before pulses at one instant."""
+    events = [PulseEvent(0.0, 1, "y", PI / 2)]
+    for target, times in ((2, toggles), (1, pulses)):
+        events += [PulseEvent(float(t), target, axis, PI) for t, axis in zip(times, cyclic_axes(len(times)))]
     events.sort(key=lambda ev: ev.time)
-    return PulseSchedule(CouplingSystem(config.j), tuple(events), total), snapshots
+    return PulseSchedule(CouplingSystem(j), tuple(events), total_time)
 
 
 # ---------------------------------------------------------------------------
@@ -773,11 +768,9 @@ def run_transmission(config: TransmissionConfig) -> EnsembleResult:
     does, ``low + (high - low) * rng.random()``.  Without a train the
     toggles and the read time are the only events, for `toggle_walk`.
     """
-    steps = signs = np.empty(0)
+    steps = np.empty(0)
     if config.bang_bang:
-        n_pulses = config.pulse_count()
-        steps = np.arange(n_pulses) * config.pulse_spacing
-        signs = pi_pulse_signs(cyclic_axes(n_pulses))
+        steps = np.arange(config.pulse_count()) * config.pulse_spacing
     amps = np.empty(config.trials, dtype=complex)
     # two toggles, a snapshot and the train a trial
     for first, streams in _trial_chunks(config.seed, config.trials, 3 + len(steps)):
@@ -789,7 +782,7 @@ def run_transmission(config: TransmissionConfig) -> EnsembleResult:
             offsets = 0.0 + config.pulse_spacing * _next_doubles(streams)[:, None] if config.random_train_phase else 0.0
             pulses = np.broadcast_to(config.noise_start + offsets + steps, (rows, len(steps)))
             snapshots = np.broadcast_to(config.total_time, (rows, 1))
-            amps[first:first + rows] = phase_walk(config.j, toggles, pulses, signs, snapshots)[:, 0]
+            amps[first:first + rows] = phase_walk(config.j, toggles, pulses, snapshots)[:, 0]
         else:
             times = np.empty((rows, 3))
             times[:, 0] = config.noise_start
@@ -808,9 +801,9 @@ def run_transmission(config: TransmissionConfig) -> EnsembleResult:
 
 
 def _toggle_times(rng, state: np.ndarray, words: np.ndarray, width: int, mean: float, spread: float,
-                  count: int | None = None, horizon: float = math.inf) -> tuple[np.ndarray, int]:
+                  count: int | None = None, horizon: float = math.inf) -> np.ndarray:
     """Flip times of the trials whose generators start from ``words``, a row a
-    trial, and the width they were drawn at.
+    trial.
 
     A trial's intervals are ``mean * (1 + spread * xi)`` for the standard
     normals ``xi`` of its stream, skipping non-positive values: ``count`` of
@@ -843,13 +836,13 @@ def _toggle_times(rng, state: np.ndarray, words: np.ndarray, width: int, mean: f
     flips = np.cumsum(values, axis=1, out=values)
     if count is not None:
         if count <= width and np.isfinite(flips[:, count - 1]).all():
-            return flips[:, :count].copy(), width   # a copy frees the wider draw
+            return flips[:, :count].copy()   # a copy frees the wider draw
     else:
         need = (flips <= horizon).sum(axis=1) + 1
         widest = need.max()
         if widest <= width and np.isfinite(last := flips[np.arange(len(words)), need - 1]).all():
             # rows never decrease: each row's flips up to its first past the horizon, then that one
-            return np.minimum(flips[:, :widest], last[:, None]), width
+            return np.minimum(flips[:, :widest], last[:, None])
     return _toggle_times(rng, state, words, 2 * width, mean, spread, count, horizon)
 
 
@@ -864,7 +857,6 @@ def run_memory(config: MemoryConfig) -> DecayCurve:
     count = None
     if config.bang_bang:
         train = _memory_train(config.pulse_spacing, horizon)
-        signs = pi_pulse_signs(cyclic_axes(len(train)))
         # every trial's observation times and train, as views a chunk slices its rows from
         all_times = np.broadcast_to(times, (config.trials, len(times)))
         all_pulses = np.broadcast_to(train, (config.trials, len(train)))
@@ -877,7 +869,6 @@ def run_memory(config: MemoryConfig) -> DecayCurve:
         read_flips = np.array(config.cycle_counts()) * 2 - 1
     # this thread's generator, set to trial k's stream by writing k's words before k's draws
     rng, state = _stream_generator()
-    # the width chunks draw at; it only grows, so a chunk is drawn twice only where it does
     width = _DRAW_BLOCK
     while width < expected:
         width *= 2
@@ -888,10 +879,10 @@ def run_memory(config: MemoryConfig) -> DecayCurve:
         words = streams.T.reshape(-1, 2, 2)   # laid out like the view of `_stream_generator`
         rows = slice(first, first + len(words))
         # with the pulse train, a row's padding lies past the horizon
-        toggles, width = _toggle_times(rng, state, words, width, config.mean_interval,
-                                       config.interval_spread, count, horizon)
+        toggles = _toggle_times(rng, state, words, width, config.mean_interval,
+                                config.interval_spread, count, horizon)
         if config.bang_bang:
-            amps = phase_walk(config.j, toggles, all_pulses[rows], signs, all_times[rows])
+            amps = phase_walk(config.j, toggles, all_pulses[rows], all_times[rows])
         else:
             amps = toggle_walk(config.j, toggles, read_flips)
         held = np.concatenate((held, amps))

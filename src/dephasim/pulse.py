@@ -23,8 +23,8 @@ AXES = ("x", "-x", "y", "-y")
 AXIS_CYCLE = ("x", "-x", "y", "-y", "-x", "x", "-y", "y")
 
 _AXIS_MATRIX = {"x": SIGMA_X, "-x": -SIGMA_X, "y": SIGMA_Y, "-y": -SIGMA_Y}
-# A pi pulse about these axes maps the transverse amplitude a to sign * conj(a).
-_PI_PULSE_SIGN = {"x": 1.0, "-x": 1.0, "y": -1.0, "-y": -1.0}
+# `phase_walk`'s codes of the cycle's pi pulses: 3 for ±x (a -> conj(a)), 7 for ±y (a -> -conj(a))
+_CYCLE_CODES = np.array([7 if "y" in axis else 3 for axis in AXIS_CYCLE], dtype=np.int8)
 
 # Signs of Z x Z on the computational basis; H = (J/4) diag of this.
 _ZZ_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
@@ -210,13 +210,7 @@ def simulate_amplitudes(schedule: PulseSchedule, times: Sequence[float]) -> np.n
     return out
 
 
-def pi_pulse_signs(axes: Sequence[str]) -> np.ndarray:
-    """Signs ``eps`` of pi pulses about ``axes``: +1 for ±x, -1 for ±y."""
-    return np.array([_PI_PULSE_SIGN[axis] for axis in axes])
-
-
-def phase_walk(j: float, toggles: np.ndarray, pulses: np.ndarray, signs: np.ndarray,
-               snapshots: np.ndarray) -> np.ndarray:
+def phase_walk(j: float, toggles: np.ndarray, pulses: np.ndarray, snapshots: np.ndarray) -> np.ndarray:
     """Qubit-1 transverse amplitudes of a chunk of trials, one trial a row.
 
     Each trial starts like the schedules of `simulate_amplitudes`: both
@@ -224,8 +218,8 @@ def phase_walk(j: float, toggles: np.ndarray, pulses: np.ndarray, signs: np.ndar
     Three kinds of event follow, given as (trials x events) arrays of times:
 
     * ``toggles``: pi pulses on qubit 2, which reverse the sign ``s``;
-    * ``pulses``: pi pulses on qubit 1, ``a -> eps * conj(a)``, with one
-      ``eps`` per column in ``signs`` (see `pi_pulse_signs`);
+    * ``pulses``: pi pulses on qubit 1, column k about ``AXIS_CYCLE[k % 8]``,
+      ``a -> eps * conj(a)`` with ``eps`` 1 for ±x and -1 for ±y;
     * ``snapshots``: positive times, ascending in each row, at which ``a``
       is recorded; returned as a (trials x snapshots) array.
 
@@ -248,7 +242,7 @@ def phase_walk(j: float, toggles: np.ndarray, pulses: np.ndarray, signs: np.ndar
     codes = np.concatenate((
         np.zeros(n_snap, dtype=np.int8),
         np.ones(toggles.shape[1], dtype=np.int8),
-        np.where(np.asarray(signs) < 0, 7, 3).astype(np.int8),
+        _CYCLE_CODES.take(np.arange(pulses.shape[1]) % len(AXIS_CYCLE)),
     ))
     # a stable sort keeps the column order (snapshot, toggle, pulse) on ties
     codes = codes[np.argsort(times, axis=1, kind="stable")]

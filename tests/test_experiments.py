@@ -8,12 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dephasim import (
+    CouplingSystem,
     FieldError,
     MemoryConfig,
+    PulseEvent,
+    PulseSchedule,
     TransmissionConfig,
     bang_bang_dephasing_time,
     bang_bang_retention,
     bang_bang_retention_fixed_start,
+    cyclic_axes,
     decay_contrast,
     dephasing_time,
     fit_exponential,
@@ -211,6 +215,7 @@ def test_transmission_schedule_layout():
     assert (prep.time, prep.target, prep.axis, prep.angle) == (0.0, 1, "y", PI / 2)
     flips = [ev for ev in sched.events if ev.target == 2]
     assert [ev.time for ev in flips] == [cfg.noise_start, cfg.noise_start + delta]
+    assert [ev.axis for ev in flips] == ["x", "-x"]
     train = [ev for ev in sched.events if ev.target == 1 and ev.angle == PI]
     assert len(train) == 24
     assert train[0].time == pytest.approx(cfg.noise_start + 1e-4)
@@ -454,10 +459,9 @@ class _NegativeThenFine:
 
 def test_interval_rejection_resamples():
     rng = _NegativeThenFine()
-    value, width = _stub_toggle_times(rng, 2e-3, 0.25, 1)
+    value = _stub_toggle_times(rng, 2e-3, 0.25, 1)
     assert value == pytest.approx(2e-3)
     assert rng.calls == 3
-    assert width == 4 * _DRAW_BLOCK
 
 
 class _Sequence:
@@ -473,13 +477,13 @@ class _Sequence:
 
 def test_intervals_run_until_their_sum_passes_the_horizon():
     # 2 ms + 2 ms lands exactly on a 4 ms horizon, which is not past it
-    flips, _ = _stub_toggle_times(_Sequence([]), 2e-3, 0.25, horizon=4e-3)
+    flips = _stub_toggle_times(_Sequence([]), 2e-3, 0.25, horizon=4e-3)
     assert np.diff(flips[0], prepend=0.0) == pytest.approx([2e-3] * 3)
     # several rows, each a row of normals, needing from 4 to 9 flips: each
     # row is its own flips, then its first flip past the horizon repeated
     normals = np.random.default_rng(0).uniform(-2.0, 2.0, (6, _DRAW_BLOCK))
-    flips, _ = _toggle_times(_Sequence(normals.ravel().tolist()), np.empty((2, 2), np.uint64),
-                             np.zeros((6, 2, 2), np.uint64), _DRAW_BLOCK, 2e-3, 0.25, horizon=9.1e-3)
+    flips = _toggle_times(_Sequence(normals.ravel().tolist()), np.empty((2, 2), np.uint64),
+                          np.zeros((6, 2, 2), np.uint64), _DRAW_BLOCK, 2e-3, 0.25, horizon=9.1e-3)
     sums = np.cumsum(2e-3 * (1.0 + 0.25 * normals), axis=1)
     need = (sums <= 9.1e-3).sum(axis=1) + 1
     assert len(set(need.tolist())) > 2 and flips.shape == (6, need.max())
@@ -498,17 +502,6 @@ def _one_at_a_time(rng, mean, spread, count=None, horizon=math.inf):
     return np.array(out)
 
 
-class _Counted:
-    """A stream that counts the normals drawn from it."""
-
-    def __init__(self, rng):
-        self.rng, self.draws = rng, 0
-
-    def standard_normal(self):
-        self.draws += 1
-        return self.rng.standard_normal()
-
-
 def _state_words(seed, trials):
     """The state words of trials 0 to ``trials - 1``, as `run_memory` lays them out."""
     return _trial_streams(seed, 0, trials).T.reshape(-1, 2, 2)
@@ -523,7 +516,7 @@ def test_block_draws_equal_one_at_a_time_draws(spread):
     for k in range(40):
         for count, horizon in ((50, math.inf), (None, 60e-3), (None, 1e-4)):
             block = _toggle_times(rng, state, words[k:k + 1], _DRAW_BLOCK,
-                                  2e-3, spread, count, horizon)[0][0]
+                                  2e-3, spread, count, horizon)[0]
             scalar = np.cumsum(_one_at_a_time(np.random.default_rng((9, k)), 2e-3, spread, count, horizon))
             assert np.array_equal(block, scalar)
 
@@ -534,20 +527,14 @@ def test_block_draws_equal_one_at_a_time_draws(spread):
 def test_chunked_draws_equal_one_at_a_time_draws(spread, count, horizon, chunk, width):
     """Each row of a chunk holds its trial's flips, then repeats of its last
     one up to the chunk's widest row.  70 trials end in a partial chunk; at
-    width 8 every chunk runs short and is drawn again.  The width that comes
-    back is the first doubling at which no trial needs more normals."""
+    width 8 every chunk runs short and is drawn again."""
     trials = 70
     rng, state = _stream_generator()
     words = _state_words(5, trials)
     for block in experiments._blocks(trials, chunk):
-        flips, drawn = _toggle_times(rng, state, words[block.start:block.stop], width,
-                                     2e-3, spread, count, horizon)
-        streams = [_Counted(np.random.default_rng((5, k))) for k in block]
-        expected = [np.cumsum(_one_at_a_time(stream, 2e-3, spread, count, horizon)) for stream in streams]
-        needed = width
-        while needed < max(stream.draws for stream in streams):
-            needed *= 2
-        assert drawn == needed
+        flips = _toggle_times(rng, state, words[block.start:block.stop], width, 2e-3, spread, count, horizon)
+        expected = [np.cumsum(_one_at_a_time(np.random.default_rng((5, k)), 2e-3, spread, count, horizon))
+                    for k in block]
         assert flips.shape == (len(block), max(map(len, expected)))
         for row, scalar in zip(flips, expected):
             assert np.array_equal(row[:len(scalar)], scalar)
@@ -666,9 +653,9 @@ def _recording_walk(monkeypatch):
     """Patch both walks to record each call's trials and entries a trial."""
     calls = []
 
-    def recording_phase(j, toggles, pulses, signs, snapshots):
+    def recording_phase(j, toggles, pulses, snapshots):
         calls.append((len(snapshots), toggles.shape[1] + pulses.shape[1] + snapshots.shape[1]))
-        return phase_walk(j, toggles, pulses, signs, snapshots)
+        return phase_walk(j, toggles, pulses, snapshots)
 
     def recording_toggle(j, times, at):
         calls.append(times.shape)
@@ -699,10 +686,10 @@ def test_toggle_walk_gives_phase_walk_bytes_on_plain_memory_flips(spread):
     at spread 0.25."""
     rng, state = _stream_generator()
     words = _trial_streams(1, 1040, 1073).T.reshape(-1, 2, 2)
-    flips, _ = _toggle_times(rng, state, words, 64, 2e-3, spread, 50)
+    flips = _toggle_times(rng, state, words, 64, 2e-3, spread, 50)
     at = np.arange(1, 26) * 2 - 1
     walked = toggle_walk(J_REF, flips, at)
-    merged = phase_walk(J_REF, flips, np.empty((len(flips), 0)), np.empty(0), flips[:, at])
+    merged = phase_walk(J_REF, flips, np.empty((len(flips), 0)), flips[:, at])
     assert walked.flags.c_contiguous
     assert walked.tobytes() == merged.tobytes()
 
@@ -717,8 +704,7 @@ def test_toggle_walk_gives_phase_walk_bytes_on_transmission_rows():
     ends = np.concatenate((ends, [start, np.nextafter(total, 0.0), total, total + 1e-13]))
     starts, totals = np.full(len(ends), start), np.full(len(ends), total)
     walked = toggle_walk(J_REF, np.stack((starts, np.minimum(ends, total), totals), axis=1), (2,))
-    merged = phase_walk(J_REF, np.stack((starts, ends), axis=1), np.empty((len(ends), 0)), np.empty(0),
-                        totals[:, None])
+    merged = phase_walk(J_REF, np.stack((starts, ends), axis=1), np.empty((len(ends), 0)), totals[:, None])
     assert walked.flags.c_contiguous
     assert walked.tobytes() == merged.tobytes()
 
@@ -765,6 +751,19 @@ def test_pulsed_memory_draws_each_chunk_once(monkeypatch):
     assert draws == [64] * len(calls)
 
 
+def test_a_chunk_drawn_again_leaves_the_next_chunk_at_the_run_width(monkeypatch):
+    """16 cycles need 32 flips a trial, so a plain run starts each chunk at 32
+    normals, with no slack.  Seed 1's trial 1072 skips its eleventh draw, so
+    its chunk, trials 1024-1279, is drawn again at 64; the chunk after it
+    starts at 32 again."""
+    assert np.random.default_rng((1, 1072)).standard_normal(11)[10] <= -4
+    draws = _recording_draws(monkeypatch)
+    calls = _recording_walk(monkeypatch)
+    run_memory(base_memory(trials=1500, observation_times=tuple(4e-3 * k for k in range(1, 17))))
+    assert len(calls) == 6 and 64 in draws
+    assert draws.count(32) == len(calls)
+
+
 def test_transmission_at_the_event_limit_stays_small():
     """A trial of MAX_TRIAL_EVENTS pulses walks alone, so the kernel's
     temporaries are a few trial-long arrays, not a chunk of them."""
@@ -806,6 +805,29 @@ def test_run_transmission_matches_the_schedule_oracle(overrides, monkeypatch):
         assert abs(amp - expected) < 1e-12
     monkeypatch.setattr(experiments, "_trial_chunks", _default_rng_chunks)
     assert np.array_equal(run_transmission(config).amplitudes, result.amplitudes)
+
+
+@pytest.mark.parametrize("shape", ["locked", "random-phase"])
+def test_transmission_schedule_toggle_axes_change_no_bit(shape):
+    """The builder's toggles run x then -x, on the cycle; a schedule built by
+    hand with both about x gives the oracle's amplitudes bit for bit, also
+    for the shortest and the longest window."""
+    config = base_transmission(**TRANSMISSION_SHAPES[shape])
+    draws = [(0.0, 0.0), (2 * PI / J_REF, 0.0)]
+    for k in range(config.trials):
+        rng = np.random.default_rng((config.seed, k))
+        delta = rng.uniform(0.0, 2 * PI / J_REF)
+        draws.append((delta, rng.uniform(0.0, config.pulse_spacing) if config.random_train_phase else 0.0))
+    for delta, offset in draws:
+        events = [PulseEvent(0.0, 1, "y", PI / 2), PulseEvent(config.noise_start, 2, "x", PI),
+                  PulseEvent(config.noise_start + delta, 2, "x", PI)]
+        events += [PulseEvent(config.noise_start + offset + k * config.pulse_spacing, 1, axis, PI)
+                   for k, axis in enumerate(cyclic_axes(config.pulse_count()))]
+        events.sort(key=lambda ev: ev.time)
+        by_hand = PulseSchedule(CouplingSystem(J_REF), tuple(events), config.total_time)
+        built = transmission_schedule(config, delta, offset)
+        assert (simulate_amplitudes(built, [config.total_time]).tobytes()
+                == simulate_amplitudes(by_hand, [config.total_time]).tobytes())
 
 
 # ---------------------------------------------------------------------------

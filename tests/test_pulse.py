@@ -17,7 +17,6 @@ from dephasim import (
     partial_trace_env,
     phase_shift,
     phase_walk,
-    pi_pulse_signs,
     rotating_frame_residual,
     rotation_pulse,
     simulate_amplitudes,
@@ -281,7 +280,7 @@ _event_time = st.one_of(
 
 @st.composite
 def walk_chunks(draw):
-    """A chunk of 1-3 trials with equal event counts and shared axes.
+    """A chunk of 1-3 trials with equal event counts and shared toggle axes.
 
     Each trial has random toggles and snapshots, and qubit-1 pulses made of
     a regular train at a random offset plus pulses at random times.
@@ -292,8 +291,6 @@ def walk_chunks(draw):
     n_train = draw(st.integers(0, 10))
     n_snap = draw(st.integers(1, 4))
     toggle_axes = draw(st.lists(st.sampled_from(AXES), min_size=n_toggles, max_size=n_toggles))
-    axes = draw(st.lists(st.sampled_from(AXES), min_size=n_train + n_extra,
-                         max_size=n_train + n_extra))
     spacing = draw(st.sampled_from([1e-4, 2e-4, 3e-4]))
     toggles, pulses, snapshots = [], [], []
     for _ in range(rows):
@@ -307,17 +304,19 @@ def walk_chunks(draw):
         return np.array(times, dtype=float).reshape(rows, width)
 
     return (table(toggles, n_toggles), tuple(toggle_axes), table(pulses, n_train + n_extra),
-            tuple(axes), table(snapshots, n_snap))
+            table(snapshots, n_snap))
 
 
 @settings(max_examples=300, deadline=None)
 @given(walk_chunks())
 def test_phase_walk_matches_simulate_amplitudes(chunk):
     """The batched walk against the state-vector oracle, trial by trial,
-    including events of different kinds at one instant."""
-    toggles, toggle_axes, pulses, axes, snapshots = chunk
+    including events of different kinds at one instant.  Pulse column k
+    is about the cycle's axis k, whatever its time."""
+    toggles, toggle_axes, pulses, snapshots = chunk
+    axes = cyclic_axes(pulses.shape[1])
     sys = CouplingSystem(J_REF)
-    amps = phase_walk(J_REF, toggles, pulses, pi_pulse_signs(axes), snapshots)
+    amps = phase_walk(J_REF, toggles, pulses, snapshots)
     assert amps.shape == snapshots.shape
     for row in range(len(snapshots)):
         events = [PulseEvent(0.0, 1, "y", PI / 2)]
@@ -365,13 +364,15 @@ def test_toggle_walk_matches_simulate_amplitudes(chunk):
 
 
 def test_phase_walk_reads_snapshots_before_same_instant_pulses():
+    """A three-pulse train, x, -x and y, all at tau: the x pair cancels, so
+    the train acts as its y pulse in column 2."""
     tau = 1.5e-3
-    y_pulse = pi_pulse_signs(("y",))
     at_tau = np.array([[tau]])
-    before = phase_walk(J_REF, np.empty((1, 0)), at_tau, y_pulse, at_tau)
+    train = np.full((1, 3), tau)
+    before = phase_walk(J_REF, np.empty((1, 0)), train, at_tau)
     assert before[0, 0] == pytest.approx(np.exp(0.5j * J_REF * tau), abs=1e-15)
     # toggle and y pulse at tau: a -> -conj(a), then the phase winds back
-    after = phase_walk(J_REF, at_tau, at_tau, y_pulse, np.array([[2 * tau]]))
+    after = phase_walk(J_REF, at_tau, train, np.array([[2 * tau]]))
     assert after[0, 0] == pytest.approx(-np.exp(-1j * J_REF * tau), abs=1e-12)
 
 
