@@ -60,6 +60,7 @@ from .pulse import (
     simulate_amplitudes,
     simulate_schedule,
     toggle_walk,
+    train_walk,
 )
 from .experiments import (
     DecayCurve,

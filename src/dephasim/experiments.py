@@ -35,6 +35,7 @@ from .pulse import (
     phase_walk,
     simulate_amplitudes,  # noqa: F401  the oracle; bench/bench.py traces calls through this name
     toggle_walk,
+    train_walk,
 )
 
 # Points at or below this magnitude are ignored by the exponential fit;
@@ -255,9 +256,10 @@ def _check_run(config: TransmissionConfig | MemoryConfig, sparse: float, bound: 
 def _check_phase(j: float, time: float, field: str) -> None:
     """Refuse a ``time`` at which the phase ``j * time / 2`` overflows.
 
-    `phase_walk` and `toggle_walk` return ``exp(0.5j * j * psi)`` with
-    ``|psi|`` at most the latest read time, and the trivial-phase factor is
-    ``exp(-0.5j * j * total_time)``; an infinite phase makes both NaN.
+    `phase_walk`, `toggle_walk` and `train_walk` return
+    ``exp(0.5j * j * psi)`` with ``|psi|`` at most the latest read time, and
+    the trivial-phase factor is ``exp(-0.5j * j * total_time)``; an infinite
+    phase makes both NaN.
     """
     if not math.isfinite(0.5 * j * time):
         raise FieldError(field, f"phase j * {field} / 2 overflows")
@@ -838,11 +840,15 @@ def _toggle_times(rng, state: np.ndarray, words: np.ndarray, width: int, mean: f
         if count <= width and np.isfinite(flips[:, count - 1]).all():
             return flips[:, :count].copy()   # a copy frees the wider draw
     else:
-        need = (flips <= horizon).sum(axis=1) + 1
-        widest = need.max()
-        if widest <= width and np.isfinite(last := flips[np.arange(len(words)), need - 1]).all():
-            # rows never decrease: each row's flips up to its first past the horizon, then that one
-            return np.minimum(flips[:, :widest], last[:, None])
+        # rows never decrease, so each row needs its flips up to its first past
+        # the horizon, argmax's index; a row with none has argmax 0 and fails the check
+        need = np.argmax(flips > horizon, axis=1) + 1
+        last = flips[np.arange(len(words)), need - 1]
+        if (last > horizon).all() and np.isfinite(last).all():
+            # each row's flips up to that one, then that one; clamped in place on
+            # a contiguous copy, where numpy buffers less than on a slice
+            flips = flips[:, :need.max()].copy()
+            return np.minimum(flips, last[:, None], out=flips)
     return _toggle_times(rng, state, words, 2 * width, mean, spread, count, horizon)
 
 
@@ -850,20 +856,19 @@ def run_memory(config: MemoryConfig) -> DecayCurve:
     """Ensemble decay curve of the repeated-toggling experiment.
 
     Without the pulse train observation k is read at flip ``2 k - 1`` (k
-    the cycles it spans), so `toggle_walk` takes the flips alone.
+    the cycles it spans), so `toggle_walk` takes the flips alone.  With it
+    every trial shares the train and the observation times, so
+    `train_walk` takes the flips and those two rows.
     """
     times = np.asarray(config.observation_times, dtype=float)
     horizon = times[-1]
     count = None
     if config.bang_bang:
         train = _memory_train(config.pulse_spacing, horizon)
-        # every trial's observation times and train, as views a chunk slices its rows from
-        all_times = np.broadcast_to(times, (config.trials, len(times)))
-        all_pulses = np.broadcast_to(train, (config.trials, len(train)))
         # the flips before the horizon, with room for their count's spread
         expected = math.ceil(1.5 * horizon / config.mean_interval) + 1
-        # snapshots, train and expected toggles a trial
-        entries = len(times) + len(train) + expected
+        # expected toggles and snapshots a trial; the train is one row all trials share
+        entries = expected + len(times)
     else:
         entries = count = expected = 2 * max(config.cycle_counts())
         read_flips = np.array(config.cycle_counts()) * 2 - 1
@@ -877,15 +882,15 @@ def run_memory(config: MemoryConfig) -> DecayCurve:
     # a draw chunk is a kernel chunk
     for first, streams in _trial_chunks(config.seed, config.trials, entries):
         words = streams.T.reshape(-1, 2, 2)   # laid out like the view of `_stream_generator`
-        rows = slice(first, first + len(words))
         # with the pulse train, a row's padding lies past the horizon
         toggles = _toggle_times(rng, state, words, width, config.mean_interval,
                                 config.interval_spread, count, horizon)
         if config.bang_bang:
-            amps = phase_walk(config.j, toggles, all_pulses[rows], all_times[rows])
+            amps = train_walk(config.j, toggles, train, times)
         else:
             amps = toggle_walk(config.j, toggles, read_flips)
         held = np.concatenate((held, amps))
+        del toggles, amps   # freed before the next chunk draws
         done = len(held) - len(held) % _SUM_TRIALS
         for start in range(0, done, _SUM_TRIALS):
             acc += held[start:start + _SUM_TRIALS].sum(axis=0)

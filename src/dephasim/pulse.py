@@ -25,6 +25,8 @@ AXIS_CYCLE = ("x", "-x", "y", "-y", "-x", "x", "-y", "y")
 _AXIS_MATRIX = {"x": SIGMA_X, "-x": -SIGMA_X, "y": SIGMA_Y, "-y": -SIGMA_Y}
 # `phase_walk`'s codes of the cycle's pi pulses: 3 for ±x (a -> conj(a)), 7 for ±y (a -> -conj(a))
 _CYCLE_CODES = np.array([7 if "y" in axis else 3 for axis in AXIS_CYCLE], dtype=np.int8)
+# `train_walk`'s eps after the first r pulses of the cycle, r = 0..7 (a whole cycle's y pulses cancel)
+_CYCLE_EPS = np.array([(-1) ** sum("y" in axis for axis in AXIS_CYCLE[:r]) for r in range(len(AXIS_CYCLE))])
 
 # Signs of Z x Z on the computational basis; H = (J/4) diag of this.
 _ZZ_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
@@ -263,6 +265,65 @@ def phase_walk(j: float, toggles: np.ndarray, pulses: np.ndarray, snapshots: np.
     sigma = 1 - (parity & 2)
     eps = 1 - ((parity & 4) >> 1)
     return eps * np.exp(0.5j * j * (sigma * psi))
+
+
+def train_walk(j: float, toggles: np.ndarray, train: np.ndarray, snapshots: np.ndarray) -> np.ndarray:
+    """`phase_walk` for trials that share one pulse train and one set of snapshots.
+
+    ``train`` and ``snapshots`` are ascending 1-D arrays of times, pulse k
+    about ``AXIS_CYCLE[k % 8]``; each row of ``toggles`` holds one trial's
+    toggle times, ascending, and may be padded past the last snapshot.
+    Returns a (trials x snapshots) array.
+
+    The switching function is the toggles' sign times the train's own
+    switching function ``h``.  With ``G`` the integral of ``h`` from 0, a
+    snapshot at ``T`` after a row's toggles ``t_1 < ... < t_m`` has
+    ``psi = 2 sum_k (-1)^(k+1) G(t_k) + (-1)^m G(T)``: work per toggle, not
+    per pulse.  ``G`` is linear between pulses, so it is read off a table of
+    its values at the pulses.  ``sigma`` and ``E`` depend on the snapshot
+    alone: a snapshot reads before a pulse at its instant, as in
+    `phase_walk`.  ``G`` is continuous, so where a toggle falls against a
+    pulse or a snapshot at its instant changes nothing.  The sums run in
+    another order than `phase_walk`'s, so the two agree to rounding, about
+    an ulp of ``psi``, not bit for bit.
+    """
+    rows, n_toggles = toggles.shape
+    n_snap = len(snapshots)
+    # G at t = 0 and at each pulse, and the sign of h from there to the next pulse
+    starts = np.concatenate(([0.0], train))
+    signs = 1.0 - 2.0 * (np.arange(len(starts)) & 1)
+    at_start = np.zeros(len(starts))
+    np.cumsum(signs[:-1] * np.diff(starts), out=at_start[1:])
+    before = np.searchsorted(train, snapshots, "left")   # the pulses a snapshot follows
+    # m, the toggles before each snapshot: per row, a histogram of the first snapshot after each toggle
+    slot = np.searchsorted(snapshots, toggles, "right")
+    slot += np.arange(0, rows * (n_snap + 1), n_snap + 1)[:, None]
+    m = np.bincount(slot.ravel(), minlength=rows * (n_snap + 1)).reshape(rows, n_snap + 1)
+    del slot
+    m = np.cumsum(m[:, :n_snap], axis=1)
+    # (-1)^(k+1) G(t_k), the difference first, so its error is an ulp of the
+    # spacing, not of the time; contiguous operands keep numpy from buffering
+    # them, so at most three toggle-sized temporaries are alive at once
+    k = np.searchsorted(train, toggles, "left")
+    g = starts.take(k)
+    np.subtract(toggles, g, out=g)
+    g *= signs.take(k)
+    g += at_start.take(k)
+    del k
+    g[:, 1::2] *= -1.0
+    # the sums over each row's first m toggles, in column m
+    partial = np.zeros((rows, n_toggles + 1))
+    np.cumsum(g, axis=1, out=partial[:, 1:])
+    del g
+    psi = np.take_along_axis(partial, m, axis=1)
+    del partial
+    psi *= 2.0
+    psi += (1 - 2 * (m & 1)) * ((snapshots - starts[before]) * signs[before] + at_start[before])
+    psi *= signs[before]   # sigma
+    amps = 0.5j * j * psi
+    np.exp(amps, out=amps)
+    amps *= _CYCLE_EPS[before % len(AXIS_CYCLE)]   # E
+    return amps
 
 
 def toggle_walk(j: float, times: np.ndarray, at) -> np.ndarray:

@@ -32,6 +32,7 @@ from dephasim import (
     simulate_schedule,
     transmission_schedule,
     toggle_walk,
+    train_walk,
     transverse_amplitude,
 )
 from dephasim import experiments
@@ -650,7 +651,9 @@ def test_memory_does_not_depend_on_the_entries_per_call(shape, monkeypatch):
 
 
 def _recording_walk(monkeypatch):
-    """Patch both walks to record each call's trials and entries a trial."""
+    """Patch the three walks to record each call's trials and entries a trial.
+    A `train_walk` trial holds its toggles and its snapshots' results; the
+    train and the snapshot times are one row that all its trials share."""
     calls = []
 
     def recording_phase(j, toggles, pulses, snapshots):
@@ -661,8 +664,13 @@ def _recording_walk(monkeypatch):
         calls.append(times.shape)
         return toggle_walk(j, times, at)
 
+    def recording_train(j, toggles, train, snapshots):
+        calls.append((len(toggles), toggles.shape[1] + len(snapshots)))
+        return train_walk(j, toggles, train, snapshots)
+
     monkeypatch.setattr(experiments, "phase_walk", recording_phase)
     monkeypatch.setattr(experiments, "toggle_walk", recording_toggle)
+    monkeypatch.setattr(experiments, "train_walk", recording_train)
     return calls
 
 
@@ -709,6 +717,25 @@ def test_toggle_walk_gives_phase_walk_bytes_on_transmission_rows():
     assert walked.tobytes() == merged.tobytes()
 
 
+@pytest.mark.parametrize("mean, horizon, trials", [(2e-3, 60e-3, 300), (0.05, 24.7, 8)])
+def test_train_walk_agrees_with_phase_walk_on_pulsed_memory_rows(mean, horizon, trials):
+    """Toggles as a pulsed memory run draws them (seed 1, spread 0.25), rows
+    padded past the horizon with their first flip after it, under a 0.5 ms
+    train read on every 8th pulse: the shape of memory_pulsed.json (120
+    pulses, about 30 toggles) and a 49,400-pulse horizon with about 500."""
+    rng, state = _stream_generator()
+    words = _trial_streams(1, 0, trials).T.reshape(-1, 2, 2)
+    expected = math.ceil(1.5 * horizon / mean) + 1
+    toggles = _toggle_times(rng, state, words, 2 ** math.ceil(math.log2(expected)), mean, 0.25, None, horizon)
+    assert (toggles[:, -1] > horizon).all() and (toggles[:, -1] == toggles[:, -2]).any()
+    train = experiments._memory_train(0.5e-3, horizon)
+    snapshots = train[7::8]
+    walked = train_walk(J_REF, toggles, train, snapshots)
+    merged = phase_walk(J_REF, toggles, np.broadcast_to(train, (trials, len(train))),
+                        np.broadcast_to(snapshots, (trials, len(snapshots))))
+    assert np.max(np.abs(walked - merged)) < 1e-14
+
+
 def _recording_draws(monkeypatch):
     """Patch `_toggle_times` to record the width of each draw of a chunk."""
     widths = []
@@ -749,6 +776,31 @@ def test_pulsed_memory_draws_each_chunk_once(monkeypatch):
     run_memory(config)
     assert len(calls) > 1
     assert draws == [64] * len(calls)
+    # a call holds 46 expected flips and 15 snapshots a trial, not the 120-pulse train as well
+    assert calls[0][0] == experiments._CHUNK_EVENTS // (46 + 15)
+
+
+def test_pulsed_memory_hands_its_walk_one_train(monkeypatch):
+    """A pulsed run passes `train_walk` the train and the observation times
+    as one row each, never a copy a trial, and does not call `phase_walk`."""
+    rows = []
+
+    def recording(j, toggles, train, snapshots):
+        rows.append((train.shape, snapshots.shape))
+        return train_walk(j, toggles, train, snapshots)
+
+    def merged(*args):
+        raise AssertionError("a pulsed memory run called phase_walk")
+
+    monkeypatch.setattr(experiments, "train_walk", recording)
+    monkeypatch.setattr(experiments, "phase_walk", merged)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        config = base_memory(trials=300, observation_times=tuple(4e-3 * k for k in range(1, 16)),
+                             bang_bang=True, pulse_spacing=0.5e-3)
+    run_memory(config)
+    assert len(rows) > 1
+    assert all(shapes == ((120,), (15,)) for shapes in rows)
 
 
 def test_a_chunk_drawn_again_leaves_the_next_chunk_at_the_run_width(monkeypatch):

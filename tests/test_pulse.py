@@ -23,10 +23,12 @@ from dephasim import (
     simulate_schedule,
     tensor,
     toggle_walk,
+    train_walk,
     transverse_amplitude,
     validate_density,
 )
 
+from dephasim.experiments import _trial_schedule
 from dephasim.pulse import AXES
 
 from helpers import J_REF, random_density, rho_00
@@ -374,6 +376,64 @@ def test_phase_walk_reads_snapshots_before_same_instant_pulses():
     # toggle and y pulse at tau: a -> -conj(a), then the phase winds back
     after = phase_walk(J_REF, at_tau, train, np.array([[2 * tau]]))
     assert after[0, 0] == pytest.approx(-np.exp(-1j * J_REF * tau), abs=1e-12)
+
+
+@st.composite
+def train_chunks(draw):
+    """A chunk of 1-3 trials that share a train and snapshots.
+
+    The train is regular, on the coarse grid of `_event_time` or at a
+    random offset from it, so snapshots, toggles and pulses can coincide.
+    Each row's toggles ascend and may end in copies of a time at or after
+    the last snapshot, as a memory run pads its rows.
+    """
+    rows = draw(st.integers(1, 3))
+    n_toggles = draw(st.integers(0, 6))
+    n_pad = draw(st.integers(0, 2))
+    n_train = draw(st.integers(0, 12))
+    first, step = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    offset = draw(st.one_of(st.just(0.0), st.floats(0.0, step * 1e-4, exclude_max=True)))
+    train = np.array([(first + k * step) * 1e-4 + offset for k in range(n_train)])
+    snapshots = np.array(sorted(draw(st.lists(_event_time, min_size=1, max_size=4))))
+    toggles = []
+    for _ in range(rows):
+        row = sorted(draw(st.lists(_event_time, min_size=n_toggles, max_size=n_toggles)))
+        pad = max(row + [snapshots[-1]]) + draw(st.sampled_from([0.0, 1e-4, 2.5e-4]))
+        toggles.append(row + [pad] * n_pad)
+    return np.array(toggles).reshape(rows, n_toggles + n_pad), train, snapshots
+
+
+@settings(max_examples=150, deadline=None)
+@given(train_chunks())
+def test_train_walk_matches_simulate_amplitudes(chunk):
+    """The walk over a shared train against the state-vector oracle, trial
+    by trial, with all three kinds of event at one instant.  Pulse k is
+    about the cycle's axis k."""
+    toggles, train, snapshots = chunk
+    amps = train_walk(J_REF, toggles, train, snapshots)
+    assert amps.shape == (len(toggles), len(snapshots))
+    for row in range(len(toggles)):
+        total = max([snapshots[-1], *toggles[row], *train])
+        expected = simulate_amplitudes(_trial_schedule(J_REF, toggles[row], train, total), snapshots)
+        assert np.max(np.abs(amps[row] - expected)) < 1e-12
+
+
+def test_train_walk_orders_events_at_one_instant():
+    """A three-pulse train, x, -x and y, all at tau, and a toggle at tau: a
+    snapshot at tau reads before all four; the toggle goes before the y
+    pulse, a -> -conj(a), and the phase then winds back with s = -1."""
+    tau = 1.5e-3
+    train = np.full(3, tau)
+    snapshots = np.array([tau, 2 * tau])
+    amps = train_walk(J_REF, np.array([[tau]]), train, snapshots)
+    assert amps[0, 0] == pytest.approx(np.exp(0.5j * J_REF * tau), abs=1e-15)
+    assert amps[0, 1] == pytest.approx(-np.exp(-1j * J_REF * tau), abs=1e-12)
+    schedule = _trial_schedule(J_REF, [tau], train, 2 * tau)
+    assert np.max(np.abs(amps[0] - simulate_amplitudes(schedule, snapshots))) < 1e-12
+    # without the toggle the y pulse alone acts at tau, after the first read
+    alone = train_walk(J_REF, np.empty((1, 0)), train, snapshots)
+    assert alone[0, 0] == amps[0, 0]
+    assert alone[0, 1] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_lab_frame_hamiltonian_shape():
