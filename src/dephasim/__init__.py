@@ -53,7 +53,6 @@ from .pulse import (
     cyclic_axes,
     lab_frame_hamiltonian,
     phase_shift,
-    phase_walk,
     rotating_frame_check,
     rotating_frame_residual,
     rotation_pulse,

@@ -32,7 +32,6 @@ from .pulse import (
     PulseEvent,
     PulseSchedule,
     cyclic_axes,
-    phase_walk,
     simulate_amplitudes,  # noqa: F401  the oracle; bench/bench.py traces calls through this name
     toggle_walk,
     train_walk,
@@ -256,9 +255,9 @@ def _check_run(config: TransmissionConfig | MemoryConfig, sparse: float, bound: 
 def _check_phase(j: float, time: float, field: str) -> None:
     """Refuse a ``time`` at which the phase ``j * time / 2`` overflows.
 
-    `phase_walk`, `toggle_walk` and `train_walk` return
-    ``exp(0.5j * j * psi)`` with ``|psi|`` at most the latest read time, and
-    the trivial-phase factor is ``exp(-0.5j * j * total_time)``; an infinite
+    `toggle_walk` and `train_walk` return ``exp(0.5j * j * psi)`` with
+    ``|psi|`` at most the latest read time, shifted train or not, and the
+    trivial-phase factor is ``exp(-0.5j * j * total_time)``; an infinite
     phase makes both NaN.
     """
     if not math.isfinite(0.5 * j * time):
@@ -493,10 +492,11 @@ def memory_trial_schedule(config: MemoryConfig, intervals: np.ndarray) -> tuple[
 
 
 def _trial_schedule(j: float, toggles, pulses, total_time: float) -> PulseSchedule:
-    """The schedule of one trial, as `phase_walk` walks it: a y pi/2 pulse at
-    t = 0, then pi pulses at the times ``toggles`` on qubit 2 and ``pulses``
-    on qubit 1, each kind about the axes of `AXIS_CYCLE` in turn; a stable
-    sort by time keeps toggles before pulses at one instant."""
+    """The schedule of one trial, the oracle of `toggle_walk` and `train_walk`:
+    a y pi/2 pulse at t = 0, then pi pulses at the times ``toggles`` on
+    qubit 2 and ``pulses`` on qubit 1, each kind about the axes of
+    `AXIS_CYCLE` in turn; a stable sort by time keeps toggles before pulses
+    at one instant."""
     events = [PulseEvent(0.0, 1, "y", PI / 2)]
     for target, times in ((2, toggles), (1, pulses)):
         events += [PulseEvent(float(t), target, axis, PI) for t, axis in zip(times, cyclic_axes(len(times)))]
@@ -768,29 +768,28 @@ def run_transmission(config: TransmissionConfig) -> EnsembleResult:
     ``rng.uniform(0, period)`` and, with a random train phase, then the train
     offset ``rng.uniform(0, pulse_spacing)``.  Both are computed as numpy
     does, ``low + (high - low) * rng.random()``.  Without a train the
-    toggles and the read time are the only events, for `toggle_walk`.
+    toggles and the read time are the only events, for `toggle_walk`; with
+    one, every trial shares the train, each shifted by its offset, and
+    `train_walk` takes the toggles, the train and the read time.
     """
-    steps = np.empty(0)
     if config.bang_bang:
-        steps = np.arange(config.pulse_count()) * config.pulse_spacing
+        train = config.noise_start + np.arange(config.pulse_count()) * config.pulse_spacing
+        read = np.array([config.total_time])
     amps = np.empty(config.trials, dtype=complex)
-    # two toggles, a snapshot and the train a trial
-    for first, streams in _trial_chunks(config.seed, config.trials, 3 + len(steps)):
+    # two toggles and a read a trial; the train is one row all trials share
+    for first, streams in _trial_chunks(config.seed, config.trials, 3):
         rows = streams.shape[1]
         # drawn before the chunk's arrays are built, which keeps the run's peak in `_trial_streams`
         ends = config.noise_start + (0.0 + (2 * PI / config.j) * _next_doubles(streams))
+        times = np.empty((rows, 3))
+        times[:, 0] = config.noise_start
+        # inside the config's 1e-12 slack the second toggle may pass the read, where it must not count
+        np.minimum(ends, config.total_time, out=times[:, 1])
+        times[:, 2] = config.total_time
         if config.bang_bang:
-            toggles = np.stack((np.full(rows, config.noise_start), ends), axis=1)
-            offsets = 0.0 + config.pulse_spacing * _next_doubles(streams)[:, None] if config.random_train_phase else 0.0
-            pulses = np.broadcast_to(config.noise_start + offsets + steps, (rows, len(steps)))
-            snapshots = np.broadcast_to(config.total_time, (rows, 1))
-            amps[first:first + rows] = phase_walk(config.j, toggles, pulses, snapshots)[:, 0]
+            shift = 0.0 + config.pulse_spacing * _next_doubles(streams) if config.random_train_phase else 0.0
+            amps[first:first + rows] = train_walk(config.j, times[:, :2], train, read, shift)[:, 0]
         else:
-            times = np.empty((rows, 3))
-            times[:, 0] = config.noise_start
-            # inside the config's 1e-12 slack the second toggle may pass the read, where it must not count
-            np.minimum(ends, config.total_time, out=times[:, 1])
-            times[:, 2] = config.total_time
             amps[first:first + rows] = toggle_walk(config.j, times, (2,))[:, 0]
     if config.remove_trivial_phase:
         amps *= np.exp(-0.5j * config.j * config.total_time)
@@ -894,7 +893,7 @@ def run_memory(config: MemoryConfig) -> DecayCurve:
         done = len(held) - len(held) % _SUM_TRIALS
         for start in range(0, done, _SUM_TRIALS):
             acc += held[start:start + _SUM_TRIALS].sum(axis=0)
-        held = held[done:]
+        held = held[done:].copy()   # a view would keep the whole chunk's amplitudes
     acc += held.sum(axis=0)
     magnitudes = np.abs(acc / config.trials)
     # too few points above the floor leave the decay unresolved, not an error

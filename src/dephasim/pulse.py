@@ -23,8 +23,6 @@ AXES = ("x", "-x", "y", "-y")
 AXIS_CYCLE = ("x", "-x", "y", "-y", "-x", "x", "-y", "y")
 
 _AXIS_MATRIX = {"x": SIGMA_X, "-x": -SIGMA_X, "y": SIGMA_Y, "-y": -SIGMA_Y}
-# `phase_walk`'s codes of the cycle's pi pulses: 3 for ±x (a -> conj(a)), 7 for ±y (a -> -conj(a))
-_CYCLE_CODES = np.array([7 if "y" in axis else 3 for axis in AXIS_CYCLE], dtype=np.int8)
 # `train_walk`'s eps after the first r pulses of the cycle, r = 0..7 (a whole cycle's y pulses cancel)
 _CYCLE_EPS = np.array([(-1) ** sum("y" in axis for axis in AXIS_CYCLE[:r]) for r in range(len(AXIS_CYCLE))])
 
@@ -212,101 +210,63 @@ def simulate_amplitudes(schedule: PulseSchedule, times: Sequence[float]) -> np.n
     return out
 
 
-def phase_walk(j: float, toggles: np.ndarray, pulses: np.ndarray, snapshots: np.ndarray) -> np.ndarray:
-    """Qubit-1 transverse amplitudes of a chunk of trials, one trial a row.
+def train_walk(j: float, toggles: np.ndarray, train: np.ndarray, snapshots: np.ndarray,
+               shift=0.0) -> np.ndarray:
+    """Qubit-1 transverse amplitudes of a chunk of trials under a shared pi-pulse train.
 
-    Each trial starts like the schedules of `simulate_amplitudes`: both
+    Each trial starts as in `simulate_amplitudes`, its exact oracle: both
     qubits in |0> and a y pi/2 pulse at t = 0 set ``a = a_x + i a_y`` to 1.
-    Three kinds of event follow, given as (trials x events) arrays of times:
-
-    * ``toggles``: pi pulses on qubit 2, which reverse the sign ``s``;
-    * ``pulses``: pi pulses on qubit 1, column k about ``AXIS_CYCLE[k % 8]``,
-      ``a -> eps * conj(a)`` with ``eps`` 1 for ±x and -1 for ±y;
-    * ``snapshots``: positive times, ascending in each row, at which ``a``
-      is recorded; returned as a (trials x snapshots) array.
-
-    Events after a row's last snapshot change nothing, so they can pad
-    rows to a common length.
+    A row of ``toggles`` holds one trial's pi pulses on qubit 2, ascending,
+    and may be padded past the last snapshot.  ``train`` holds the pi
+    pulses on qubit 1, ascending, pulse k about ``AXIS_CYCLE[k % 8]``:
+    ``a -> eps * conj(a)``, ``eps`` 1 for ±x and -1 for ±y.  ``shift``, a
+    non-negative time a trial or ``0.0``, moves each trial's train later.
+    ``a`` is read at the ascending, positive ``snapshots``, a column each.
 
     Free evolution for ``tau`` multiplies ``a`` by ``exp(i s J tau / 2)``,
-    with ``s = +1`` while qubit 2 sits in |0>.  So
-    ``a = E exp(i sigma J psi / 2)``, where ``psi`` is the time integral of
-    a sign that every toggle and every pulse reverses (the switching
-    function), ``sigma`` is -1 after an odd number of pulses and ``E`` is
-    the product of their ``eps``: all three are cumulative along the
-    merged, time-ordered events of each row.  Events at one instant run in
-    the order snapshot, toggle, pulse, as in `simulate_amplitudes`, which
-    is the exact oracle for this walk.
-    """
-    n, n_snap = snapshots.shape
-    times = np.concatenate((snapshots, toggles, pulses), axis=1)
-    # per column, bit 0: reverses the rate sign; bit 1: a pulse; bit 2: eps = -1
-    codes = np.concatenate((
-        np.zeros(n_snap, dtype=np.int8),
-        np.ones(toggles.shape[1], dtype=np.int8),
-        _CYCLE_CODES.take(np.arange(pulses.shape[1]) % len(AXIS_CYCLE)),
-    ))
-    # a stable sort keeps the column order (snapshot, toggle, pulse) on ties
-    codes = codes[np.argsort(times, axis=1, kind="stable")]
-    times.sort(axis=1)
-    # parity bits of the events up to and including each one
-    parity = np.bitwise_xor.accumulate(codes, axis=1)
-    # interval lengths along the flattened rows; each row's first runs from t = 0
-    psi = np.empty_like(times)
-    np.subtract(times.ravel()[1:], times.ravel()[:-1], out=psi.ravel()[1:])
-    psi[:, 0] = times[:, 0]
-    del times   # keeps the (trials x events) temporaries to two at a time
-    # each interval has the rate sign left by the events before its end
-    psi *= 1 - 2 * ((parity ^ codes) & 1)
-    np.cumsum(psi, axis=1, out=psi)
-    at = np.flatnonzero(codes == 0)
-    psi = psi.ravel()[at].reshape(n, n_snap)
-    parity = parity.ravel()[at].reshape(n, n_snap)
-    sigma = 1 - (parity & 2)
-    eps = 1 - ((parity & 4) >> 1)
-    return eps * np.exp(0.5j * j * (sigma * psi))
-
-
-def train_walk(j: float, toggles: np.ndarray, train: np.ndarray, snapshots: np.ndarray) -> np.ndarray:
-    """`phase_walk` for trials that share one pulse train and one set of snapshots.
-
-    ``train`` and ``snapshots`` are ascending 1-D arrays of times, pulse k
-    about ``AXIS_CYCLE[k % 8]``; each row of ``toggles`` holds one trial's
-    toggle times, ascending, and may be padded past the last snapshot.
-    Returns a (trials x snapshots) array.
-
-    The switching function is the toggles' sign times the train's own
-    switching function ``h``.  With ``G`` the integral of ``h`` from 0, a
-    snapshot at ``T`` after a row's toggles ``t_1 < ... < t_m`` has
+    ``s = +1`` while qubit 2 sits in |0>, so ``a = E exp(i sigma J psi / 2)``:
+    ``psi`` integrates a sign that every toggle and pulse reverses (the
+    switching function), ``sigma`` is -1 after an odd number of pulses and
+    ``E`` is the product of their ``eps``.  With ``G`` the integral from 0
+    of the train's own switching function, a snapshot at ``T`` after a
+    row's toggles ``t_1 < ... < t_m`` has
     ``psi = 2 sum_k (-1)^(k+1) G(t_k) + (-1)^m G(T)``: work per toggle, not
-    per pulse.  ``G`` is linear between pulses, so it is read off a table of
-    its values at the pulses.  ``sigma`` and ``E`` depend on the snapshot
-    alone: a snapshot reads before a pulse at its instant, as in
-    `phase_walk`.  ``G`` is continuous, so where a toggle falls against a
-    pulse or a snapshot at its instant changes nothing.  The sums run in
-    another order than `phase_walk`'s, so the two agree to rounding, about
-    an ulp of ``psi``, not bit for bit.
+    per pulse, with ``G`` read off a table of its values at the pulses.  A
+    train shifted by ``o`` has ``G(u - o) + o`` for ``G``, since ``G(u) = u``
+    before the first pulse; the ``o`` terms sum to one ``o`` whatever ``m``.
+    At one instant a snapshot reads before a pulse and a toggle; ``G`` is
+    continuous, so where a toggle falls against a pulse changes nothing.
     """
     rows, n_toggles = toggles.shape
     n_snap = len(snapshots)
-    # G at t = 0 and at each pulse, and the sign of h from there to the next pulse
+    o = np.asarray(shift)[..., None]   # a column of each row's shift, or one for all rows
+    # G at t = 0 and at each pulse, and the train's sign from there to the next pulse
     starts = np.concatenate(([0.0], train))
     signs = 1.0 - 2.0 * (np.arange(len(starts)) & 1)
     at_start = np.zeros(len(starts))
     np.cumsum(signs[:-1] * np.diff(starts), out=at_start[1:])
-    before = np.searchsorted(train, snapshots, "left")   # the pulses a snapshot follows
+    # the pulses a snapshot follows; x - 0.0 is x, but T - o rounds, so a
+    # shifted pulse next to it is settled by its own time, equal pulses together
+    x = snapshots - o
+    before = np.searchsorted(train, x, "left")
+    if o.any():
+        after = starts.take(before + 1, mode="clip")
+        before = np.where(after + o < snapshots, np.searchsorted(train, after, "right"), before)
+        prior = starts[before]
+        before = np.where(prior + o >= snapshots, np.searchsorted(train, prior, "left"), before)
     # m, the toggles before each snapshot: per row, a histogram of the first snapshot after each toggle
     slot = np.searchsorted(snapshots, toggles, "right")
     slot += np.arange(0, rows * (n_snap + 1), n_snap + 1)[:, None]
     m = np.bincount(slot.ravel(), minlength=rows * (n_snap + 1)).reshape(rows, n_snap + 1)
     del slot
     m = np.cumsum(m[:, :n_snap], axis=1)
-    # (-1)^(k+1) G(t_k), the difference first, so its error is an ulp of the
-    # spacing, not of the time; contiguous operands keep numpy from buffering
-    # them, so at most three toggle-sized temporaries are alive at once
-    k = np.searchsorted(train, toggles, "left")
-    g = starts.take(k)
-    np.subtract(toggles, g, out=g)
+    # (-1)^(k+1) G(t_k - o), the difference from the pulse first, so its error
+    # is an ulp of the spacing, not of the time; contiguous operands keep numpy
+    # from buffering them, so at most three toggle-sized temporaries are alive
+    # at once; t - 0.0 is t, -0.0 included
+    g = toggles - o
+    k = np.searchsorted(train, g, "left")
+    g -= starts.take(k)
     g *= signs.take(k)
     g += at_start.take(k)
     del k
@@ -318,7 +278,8 @@ def train_walk(j: float, toggles: np.ndarray, train: np.ndarray, snapshots: np.n
     psi = np.take_along_axis(partial, m, axis=1)
     del partial
     psi *= 2.0
-    psi += (1 - 2 * (m & 1)) * ((snapshots - starts[before]) * signs[before] + at_start[before])
+    psi += (1 - 2 * (m & 1)) * ((x - starts[before]) * signs[before] + at_start[before])
+    psi += o
     psi *= signs[before]   # sigma
     amps = 0.5j * j * psi
     np.exp(amps, out=amps)
@@ -327,20 +288,18 @@ def train_walk(j: float, toggles: np.ndarray, train: np.ndarray, snapshots: np.n
 
 
 def toggle_walk(j: float, times: np.ndarray, at) -> np.ndarray:
-    """`phase_walk` for trials whose only events are toggles.
+    """`train_walk` for trials without a train: toggles are their only events.
 
     Each row of ``times`` holds one trial's toggle times, ascending; the
     amplitude is read at the times in the columns ``at`` and returned as a
     C-ordered (trials x len(at)) array.  A toggle changes nothing before
     it, so a read time after the last toggle can be a column of its own.
     The interval that toggle ``i`` ends has the rate sign ``(-1)**i``, so
-    ``psi`` is one cumulative sum of the signed intervals.  `phase_walk`
-    with snapshots at the read times gives the same bits: its extra
-    interval at a snapshot's toggle is ±0.0, and its ``eps`` and ``sigma``
-    are 1.
+    ``psi`` is one cumulative sum of the signed intervals, with no search
+    or count of toggles: this is the faster walk where no train runs.
     """
-    # interval lengths along the flattened rows, as in `phase_walk`; contiguous
-    # operands need no buffers; each row's first interval runs from t = 0
+    # interval lengths along the flattened rows; contiguous operands need no
+    # buffers; each row's first interval runs from t = 0
     psi = np.empty(times.shape)
     np.subtract(times.ravel()[1:], times.ravel()[:-1], out=psi.ravel()[1:])
     psi[:, 0] = times[:, 0]

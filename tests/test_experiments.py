@@ -25,7 +25,6 @@ from dephasim import (
     interval_noise_retention,
     memory_trial_schedule,
     partial_trace_env,
-    phase_walk,
     run_memory,
     run_transmission,
     simulate_amplitudes,
@@ -48,7 +47,7 @@ from dephasim.experiments import (
     _trial_streams,
 )
 
-from helpers import J_REF, rho_00, window_schedule
+from helpers import J_REF, phase_walk, rho_00, window_schedule
 
 PI = np.pi
 
@@ -651,24 +650,19 @@ def test_memory_does_not_depend_on_the_entries_per_call(shape, monkeypatch):
 
 
 def _recording_walk(monkeypatch):
-    """Patch the three walks to record each call's trials and entries a trial.
+    """Patch both walks to record each call's trials and entries a trial.
     A `train_walk` trial holds its toggles and its snapshots' results; the
     train and the snapshot times are one row that all its trials share."""
     calls = []
-
-    def recording_phase(j, toggles, pulses, snapshots):
-        calls.append((len(snapshots), toggles.shape[1] + pulses.shape[1] + snapshots.shape[1]))
-        return phase_walk(j, toggles, pulses, snapshots)
 
     def recording_toggle(j, times, at):
         calls.append(times.shape)
         return toggle_walk(j, times, at)
 
-    def recording_train(j, toggles, train, snapshots):
+    def recording_train(j, toggles, train, snapshots, shift=0.0):
         calls.append((len(toggles), toggles.shape[1] + len(snapshots)))
-        return train_walk(j, toggles, train, snapshots)
+        return train_walk(j, toggles, train, snapshots, shift)
 
-    monkeypatch.setattr(experiments, "phase_walk", recording_phase)
     monkeypatch.setattr(experiments, "toggle_walk", recording_toggle)
     monkeypatch.setattr(experiments, "train_walk", recording_train)
     return calls
@@ -715,6 +709,35 @@ def test_toggle_walk_gives_phase_walk_bytes_on_transmission_rows():
     merged = phase_walk(J_REF, np.stack((starts, ends), axis=1), np.empty((len(ends), 0)), totals[:, None])
     assert walked.flags.c_contiguous
     assert walked.tobytes() == merged.tobytes()
+
+
+@pytest.mark.parametrize("random_phase", [False, True])
+def test_train_walk_agrees_with_phase_walk_on_transmission_rows(random_phase):
+    """Pulsed transmission rows as a run draws them, in the shape of
+    transmission_pulsed.json, also where the second toggle lies on
+    noise_start, just before total_time, on it or past it inside the
+    config's 1e-12 slack: `train_walk` on the clamped toggles, the shared
+    train and its shifts against `phase_walk` on the unclamped toggles and
+    each trial's own train.  A locked train gives the same bytes; a random
+    phase rounds the pulse times at another step, so it agrees to 1e-14."""
+    config = TransmissionConfig(j=J_REF, total_time=8.5e-3, noise_start=1e-3, trials=1, seed=1,
+                                bang_bang=True, pulse_spacing=0.3e-3, random_train_phase=random_phase)
+    start, total, spacing = config.noise_start, config.total_time, config.pulse_spacing
+    streams = _trial_streams(7, 0, 1004)
+    ends = start + (0.0 + (2 * PI / J_REF) * _next_doubles(streams))
+    ends[-4:] = start, np.nextafter(total, 0.0), total, total + 1e-13
+    shift = 0.0 + spacing * _next_doubles(streams) if random_phase else 0.0
+    steps = np.arange(config.pulse_count()) * spacing
+    train = start + steps
+    walked = train_walk(J_REF, np.stack((np.full(len(ends), start), np.minimum(ends, total)), axis=1),
+                        train, np.array([total]), shift)
+    pulses = start + np.reshape(shift, (-1, 1)) + steps
+    merged = phase_walk(J_REF, np.stack((np.full(len(ends), start), ends), axis=1),
+                        np.broadcast_to(pulses, (len(ends), len(steps))), np.full((len(ends), 1), total))
+    if random_phase:
+        assert np.max(np.abs(walked - merged)) < 1e-14
+    else:
+        assert walked.tobytes() == merged.tobytes()
 
 
 @pytest.mark.parametrize("mean, horizon, trials", [(2e-3, 60e-3, 300), (0.05, 24.7, 8)])
@@ -780,27 +803,36 @@ def test_pulsed_memory_draws_each_chunk_once(monkeypatch):
     assert calls[0][0] == experiments._CHUNK_EVENTS // (46 + 15)
 
 
-def test_pulsed_memory_hands_its_walk_one_train(monkeypatch):
-    """A pulsed run passes `train_walk` the train and the observation times
-    as one row each, never a copy a trial, and does not call `phase_walk`."""
-    rows = []
+@pytest.mark.parametrize("shape", ["memory", "locked", "random-phase"])
+def test_pulsed_memory_hands_its_walk_one_train(shape, monkeypatch):
+    """A pulsed run, memory or transmission, passes `train_walk` the train
+    and the read times as one row each, never a copy a trial, with a random
+    train phase as a shift a trial, and never calls `toggle_walk`."""
+    calls = []
 
-    def recording(j, toggles, train, snapshots):
-        rows.append((train.shape, snapshots.shape))
-        return train_walk(j, toggles, train, snapshots)
+    def recording(j, toggles, train, snapshots, shift=0.0):
+        calls.append((train.shape, snapshots.shape, np.shape(shift), len(toggles)))
+        return train_walk(j, toggles, train, snapshots, shift)
 
-    def merged(*args):
-        raise AssertionError("a pulsed memory run called phase_walk")
+    def free(*args):
+        raise AssertionError("a pulsed run called toggle_walk")
 
     monkeypatch.setattr(experiments, "train_walk", recording)
-    monkeypatch.setattr(experiments, "phase_walk", merged)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        config = base_memory(trials=300, observation_times=tuple(4e-3 * k for k in range(1, 16)),
-                             bang_bang=True, pulse_spacing=0.5e-3)
-    run_memory(config)
-    assert len(rows) > 1
-    assert all(shapes == ((120,), (15,)) for shapes in rows)
+    monkeypatch.setattr(experiments, "toggle_walk", free)
+    if shape == "memory":
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            config = base_memory(trials=300, observation_times=tuple(4e-3 * k for k in range(1, 16)),
+                                 bang_bang=True, pulse_spacing=0.5e-3)
+        run_memory(config)
+        expected = (120,), (15,)
+    else:
+        config = base_transmission(trials=_STREAM_BLOCK + 5, **TRANSMISSION_SHAPES[shape])
+        run_transmission(config)
+        expected = (config.pulse_count(),), (1,)
+    assert len(calls) > 1
+    assert all((train, snapshots) == expected for train, snapshots, _, _ in calls)
+    assert all(shift == ((rows,) if shape == "random-phase" else ()) for _, _, shift, rows in calls)
 
 
 def test_a_chunk_drawn_again_leaves_the_next_chunk_at_the_run_width(monkeypatch):
@@ -817,8 +849,9 @@ def test_a_chunk_drawn_again_leaves_the_next_chunk_at_the_run_width(monkeypatch)
 
 
 def test_transmission_at_the_event_limit_stays_small():
-    """A trial of MAX_TRIAL_EVENTS pulses walks alone, so the kernel's
-    temporaries are a few trial-long arrays, not a chunk of them."""
+    """A train of MAX_TRIAL_EVENTS pulses is one row that all trials share,
+    so the kernel's temporaries are a few train-long arrays, not a chunk of
+    them."""
     config = base_transmission(bang_bang=True, pulse_spacing=4e-8, pulses_per_trial=MAX_TRIAL_EVENTS)
     tracemalloc.start()
     try:

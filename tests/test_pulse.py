@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dephasim import (
     AXIS_CYCLE,
@@ -16,7 +16,6 @@ from dephasim import (
     mat_equal,
     partial_trace_env,
     phase_shift,
-    phase_walk,
     rotating_frame_residual,
     rotation_pulse,
     simulate_amplitudes,
@@ -31,7 +30,7 @@ from dephasim import (
 from dephasim.experiments import _trial_schedule
 from dephasim.pulse import AXES
 
-from helpers import J_REF, random_density, rho_00
+from helpers import J_REF, phase_walk, random_density, rho_00
 
 PI = np.pi
 
@@ -380,12 +379,16 @@ def test_phase_walk_reads_snapshots_before_same_instant_pulses():
 
 @st.composite
 def train_chunks(draw):
-    """A chunk of 1-3 trials that share a train and snapshots.
+    """A chunk of 1-3 trials that share a train and snapshots, and the
+    shift of each trial's train.
 
     The train is regular, on the coarse grid of `_event_time` or at a
-    random offset from it, so snapshots, toggles and pulses can coincide.
-    Each row's toggles ascend and may end in copies of a time at or after
-    the last snapshot, as a memory run pads its rows.
+    random offset from it; a shift is 0, on the grid or random, so
+    snapshots, toggles and shifted pulses can coincide.  A snapshot may
+    also be put on a pulse as one row shifts it or an ulp after it, and a
+    row's toggle on such a pulse, where undoing the shift rounds either
+    way.  Each row's toggles ascend and may end in copies of a time at or
+    after the last snapshot, as a memory run pads its rows.
     """
     rows = draw(st.integers(1, 3))
     n_toggles = draw(st.integers(0, 6))
@@ -394,27 +397,41 @@ def train_chunks(draw):
     first, step = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     offset = draw(st.one_of(st.just(0.0), st.floats(0.0, step * 1e-4, exclude_max=True)))
     train = np.array([(first + k * step) * 1e-4 + offset for k in range(n_train)])
-    snapshots = np.array(sorted(draw(st.lists(_event_time, min_size=1, max_size=4))))
+    shift = np.array(draw(st.lists(st.one_of(st.just(0.0), st.integers(1, 4).map(lambda k: k * 1e-4),
+                                             st.floats(0.0, 4e-4)), min_size=rows, max_size=rows)))
+    # a pulse of the train as one of the rows shifts it
+    pulse = st.tuples(st.integers(0, rows - 1), st.integers(0, n_train - 1)).map(
+        lambda at: train[at[1]] + shift[at[0]])
+    snapshots = draw(st.lists(_event_time, min_size=1, max_size=4))
+    if n_train and draw(st.booleans()):
+        snapshots[0] = draw(st.one_of(pulse, pulse.map(lambda t: np.nextafter(t, 1.0))))
+    snapshots = np.array(sorted(snapshots))
     toggles = []
-    for _ in range(rows):
-        row = sorted(draw(st.lists(_event_time, min_size=n_toggles, max_size=n_toggles)))
-        pad = max(row + [snapshots[-1]]) + draw(st.sampled_from([0.0, 1e-4, 2.5e-4]))
-        toggles.append(row + [pad] * n_pad)
-    return np.array(toggles).reshape(rows, n_toggles + n_pad), train, snapshots
+    for row in range(rows):
+        times = draw(st.lists(_event_time, min_size=n_toggles, max_size=n_toggles))
+        if n_toggles and n_train and draw(st.booleans()):
+            times[0] = train[draw(st.integers(0, n_train - 1))] + shift[row]
+        times.sort()
+        pad = max(times + [snapshots[-1]]) + draw(st.sampled_from([0.0, 1e-4, 2.5e-4]))
+        toggles.append(times + [pad] * n_pad)
+    return np.array(toggles).reshape(rows, n_toggles + n_pad), train, snapshots, shift
 
 
 @settings(max_examples=150, deadline=None)
 @given(train_chunks())
+# the read at 1.1e-3 + 5e-19, less the shift, rounds onto the pulse at 1e-3, though the shifted pulse is an ulp before it
+@example((np.empty((1, 0)), np.array([1e-3]), np.array([0.0011000000000000005]), np.array([0.00010000000000000037])))
 def test_train_walk_matches_simulate_amplitudes(chunk):
-    """The walk over a shared train against the state-vector oracle, trial
-    by trial, with all three kinds of event at one instant.  Pulse k is
-    about the cycle's axis k."""
-    toggles, train, snapshots = chunk
-    amps = train_walk(J_REF, toggles, train, snapshots)
+    """The walk over a shared train, shifted a row at a time, against the
+    state-vector oracle, trial by trial, with all three kinds of event at
+    one instant.  Pulse k is about the cycle's axis k."""
+    toggles, train, snapshots, shift = chunk
+    amps = train_walk(J_REF, toggles, train, snapshots, shift)
     assert amps.shape == (len(toggles), len(snapshots))
     for row in range(len(toggles)):
-        total = max([snapshots[-1], *toggles[row], *train])
-        expected = simulate_amplitudes(_trial_schedule(J_REF, toggles[row], train, total), snapshots)
+        pulses = train + shift[row]
+        total = max([snapshots[-1], *toggles[row], *pulses])
+        expected = simulate_amplitudes(_trial_schedule(J_REF, toggles[row], pulses, total), snapshots)
         assert np.max(np.abs(amps[row] - expected)) < 1e-12
 
 
