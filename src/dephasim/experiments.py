@@ -46,13 +46,8 @@ MAX_TRIAL_EVENTS = 100_000
 # Most trials one run may have; also keeps the trial index k to the one
 # 32-bit entropy word that `_trial_streams` derives streams for.
 MAX_TRIALS = 10_000_000
-# Normals a memory trial draws at least; each chunk starts at the first doubling
-# that holds the flips the run expects, and doubles again while its rows run short.
-_DRAW_BLOCK = 32
 # Trials x events entries a kernel call is sized for (a lone trial may hold more); bounds its arrays.
 _CHUNK_EVENTS = 8192
-# Memory trials summed as one group, whatever the rows per call; fixes the sum's order and last bits.
-_SUM_TRIALS = 32
 # Trials whose random streams are derived at a time; bounds the derivation's
 # arrays, about 90 B a trial at their peak (0.72 MB a block).
 _STREAM_BLOCK = 8192
@@ -390,10 +385,8 @@ def bang_bang_dephasing_time(j: float, spacing: float, mean_interval: float) -> 
         raise ValueError("mean_interval must be positive")
     if not (j > 0 and spacing > 0 and j * spacing < 2 * PI):
         raise ValueError("need positive j and spacing, and j * spacing < 2 pi")
-    if j * spacing < 1e-8:
-        return math.inf
     retention = bang_bang_retention(j, spacing)
-    return float(-2.0 * mean_interval / math.log(retention))
+    return float(-2.0 * mean_interval / math.log(retention)) if retention < 1.0 else math.inf
 
 
 def decay_contrast(decay: float, reference: float, spread: float) -> float:
@@ -857,7 +850,9 @@ def run_memory(config: MemoryConfig) -> DecayCurve:
     Without the pulse train observation k is read at flip ``2 k - 1`` (k
     the cycles it spans), so `toggle_walk` takes the flips alone.  With it
     every trial shares the train and the observation times, so
-    `train_walk` takes the flips and those two rows.
+    `train_walk` takes the flips and those two rows.  A trial draws its flip
+    count and one normal more, or the flips the train's horizon is expected to
+    need; the amplitudes are summed in trial order, whatever the chunking.
     """
     times = np.asarray(config.observation_times, dtype=float)
     horizon = times[-1]
@@ -865,19 +860,16 @@ def run_memory(config: MemoryConfig) -> DecayCurve:
     if config.bang_bang:
         train = _memory_train(config.pulse_spacing, horizon)
         # the flips before the horizon, with room for their count's spread
-        expected = math.ceil(1.5 * horizon / config.mean_interval) + 1
+        width = math.ceil(1.5 * horizon / config.mean_interval) + 1
         # expected toggles and snapshots a trial; the train is one row all trials share
-        entries = expected + len(times)
+        entries = width + len(times)
     else:
-        entries = count = expected = 2 * max(config.cycle_counts())
+        entries = count = 2 * max(config.cycle_counts())
+        width = count + 1   # one skipped value is not a redraw
         read_flips = np.array(config.cycle_counts()) * 2 - 1
     # this thread's generator, set to trial k's stream by writing k's words before k's draws
     rng, state = _stream_generator()
-    width = _DRAW_BLOCK
-    while width < expected:
-        width *= 2
-    acc = np.zeros(len(times), dtype=complex)
-    held = np.empty((0, len(times)), dtype=complex)   # amplitudes of a group not yet summed
+    acc = np.zeros((1, len(times)), dtype=complex)
     # a draw chunk is a kernel chunk
     for first, streams in _trial_chunks(config.seed, config.trials, entries):
         words = streams.T.reshape(-1, 2, 2)   # laid out like the view of `_stream_generator`
@@ -888,14 +880,11 @@ def run_memory(config: MemoryConfig) -> DecayCurve:
             amps = train_walk(config.j, toggles, train, times)
         else:
             amps = toggle_walk(config.j, toggles, read_flips)
-        held = np.concatenate((held, amps))
+        # accumulate adds row after row, an order numpy defines, where sum(axis=0) may pair
+        # rows; a list index copies the last row, so the chunk's running sums are freed
+        acc = np.add.accumulate(np.concatenate((acc, amps)))[[-1]]
         del toggles, amps   # freed before the next chunk draws
-        done = len(held) - len(held) % _SUM_TRIALS
-        for start in range(0, done, _SUM_TRIALS):
-            acc += held[start:start + _SUM_TRIALS].sum(axis=0)
-        held = held[done:].copy()   # a view would keep the whole chunk's amplitudes
-    acc += held.sum(axis=0)
-    magnitudes = np.abs(acc / config.trials)
+    magnitudes = np.abs(acc[0] / config.trials)
     # too few points above the floor leave the decay unresolved, not an error
     fit = fit_exponential(times, magnitudes) if np.count_nonzero(magnitudes > FIT_FLOOR) >= 3 else None
     return DecayCurve(times=times, magnitudes=magnitudes, fit=fit)

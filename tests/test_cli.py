@@ -226,6 +226,18 @@ def test_memory_explicit_observation_times(tmp_path):
     assert len((out / "decay_a020.csv").read_text().splitlines()) == 5
 
 
+def test_memory_train_whose_retention_rounds_to_one_predicts_no_decay(tmp_path):
+    """At ``j * spacing`` of 2e-8 the train's retention rounds to 1: the run
+    ends with an infinite prediction, not a zero division."""
+    doc = {"experiment": "memory", "seed": 1, "params": {
+        "j_hz": 215.5, "mean_interval": 1e-7, "interval_spread": 0.1,
+        "observation_times": [2e-7, 4e-7, 6e-7], "trials": 10, "bang_bang": True, "pulse_spacing": 1.5e-11}}
+    out = tmp_path / "results"
+    assert main([write_json(tmp_path / "c.json", doc), "--out", str(out)]) == 0
+    row = (out / "summary.txt").read_text().splitlines()[-1].split()
+    assert row[0] == "0.100" and row[2] == "inf"
+
+
 def test_memory_config_errors(tmp_path, capsys):
     doc = memory_doc()
     doc["params"]["observation_times"] = {"max_time": 1e-3}

@@ -38,7 +38,6 @@ from dephasim import experiments
 from dephasim.experiments import (
     MAX_TRIAL_EVENTS,
     MAX_TRIALS,
-    _DRAW_BLOCK,
     _STREAM_BLOCK,
     _generate_state,
     _next_doubles,
@@ -98,6 +97,14 @@ def test_dephasing_time_edges():
         dephasing_time(J_REF, -0.1, 2e-3)
     with pytest.raises(ValueError):
         bang_bang_dephasing_time(J_REF, 2 * PI / J_REF, 2e-3)
+
+
+@pytest.mark.parametrize("product", [1e-8, 2e-8, 3e-8])
+def test_bang_bang_dephasing_time_is_infinite_where_retention_rounds_to_one(product):
+    """Up to about 4.4e-8 the squared sinc of ``j * spacing / 2`` rounds to 1,
+    whose log is 0: the time is infinite, not a zero division."""
+    assert bang_bang_retention(1.0, product) == 1.0
+    assert bang_bang_dephasing_time(1.0, product, 2e-3) == math.inf
 
 
 def test_closed_forms_at_extreme_values():
@@ -445,7 +452,7 @@ def test_threads_running_memory_at_once_match_sequential_runs():
 def _stub_toggle_times(rng, *args, **kwargs):
     """`_toggle_times` of one trial on a stub ``rng``, which ignores the state words."""
     return _toggle_times(rng, np.empty((2, 2), np.uint64), np.zeros((1, 2, 2), np.uint64),
-                         _DRAW_BLOCK, *args, **kwargs)
+                         32, *args, **kwargs)
 
 
 class _NegativeThenFine:
@@ -481,9 +488,9 @@ def test_intervals_run_until_their_sum_passes_the_horizon():
     assert np.diff(flips[0], prepend=0.0) == pytest.approx([2e-3] * 3)
     # several rows, each a row of normals, needing from 4 to 9 flips: each
     # row is its own flips, then its first flip past the horizon repeated
-    normals = np.random.default_rng(0).uniform(-2.0, 2.0, (6, _DRAW_BLOCK))
+    normals = np.random.default_rng(0).uniform(-2.0, 2.0, (6, 32))
     flips = _toggle_times(_Sequence(normals.ravel().tolist()), np.empty((2, 2), np.uint64),
-                          np.zeros((6, 2, 2), np.uint64), _DRAW_BLOCK, 2e-3, 0.25, horizon=9.1e-3)
+                          np.zeros((6, 2, 2), np.uint64), 32, 2e-3, 0.25, horizon=9.1e-3)
     sums = np.cumsum(2e-3 * (1.0 + 0.25 * normals), axis=1)
     need = (sums <= 9.1e-3).sum(axis=1) + 1
     assert len(set(need.tolist())) > 2 and flips.shape == (6, need.max())
@@ -515,7 +522,7 @@ def test_block_draws_equal_one_at_a_time_draws(spread):
     words = _state_words(9, 40)
     for k in range(40):
         for count, horizon in ((50, math.inf), (None, 60e-3), (None, 1e-4)):
-            block = _toggle_times(rng, state, words[k:k + 1], _DRAW_BLOCK,
+            block = _toggle_times(rng, state, words[k:k + 1], 32,
                                   2e-3, spread, count, horizon)[0]
             scalar = np.cumsum(_one_at_a_time(np.random.default_rng((9, k)), 2e-3, spread, count, horizon))
             assert np.array_equal(block, scalar)
@@ -593,17 +600,18 @@ def test_run_memory_matches_the_schedule_oracle(overrides, monkeypatch):
 @pytest.mark.parametrize("overrides", [{}, {"bang_bang": True, "pulse_spacing": 0.5e-3}],
                          ids=["plain", "pulsed"])
 def test_draw_width_never_changes_a_result(overrides, monkeypatch):
-    """Starting to draw at 1, 32 or 256 normals a trial gives the same run
-    bit for bit.  At spread 0.25 a value is skipped about once in 30,000
-    draws; here trial 1072, the last, skips its eleventh, in a partial chunk."""
+    """Starting each chunk's draw at 1, 32 or 256 normals a trial gives the
+    run's own result bit for bit.  At spread 0.25 a value is skipped about
+    once in 30,000 draws; here trial 1072, the last, skips its eleventh, in a
+    partial chunk."""
     assert np.random.default_rng((1, 1072)).standard_normal(11)[10] <= -4
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         config = base_memory(interval_spread=0.25, trials=1073,
                              observation_times=tuple(4e-3 * k for k in range(1, 11)), **overrides)
-    runs = []
+    runs = [run_memory(config).magnitudes]
     for block in (1, 32, 256):
-        monkeypatch.setattr(experiments, "_DRAW_BLOCK", block)
+        _recording_draws(monkeypatch, lambda chunk, width, block=block: block)
         runs.append(run_memory(config).magnitudes)
     assert all(np.array_equal(run, runs[0]) for run in runs[1:])
 
@@ -639,8 +647,8 @@ def test_transmission_does_not_depend_on_the_entries_per_call(shape, monkeypatch
 
 @pytest.mark.parametrize("shape", sorted(MEMORY_SHAPES))
 def test_memory_does_not_depend_on_the_entries_per_call(shape, monkeypatch):
-    """The sum over trials runs in the same groups whatever the rows per call;
-    1,000 trials end in a partial group."""
+    """The sum over trials runs in trial order whatever the rows per call;
+    1,000 trials end in a partial chunk."""
     config = _memory_config(shape, 1000)
     runs = []
     for budget in ENTRY_BUDGETS:
@@ -749,7 +757,7 @@ def test_train_walk_agrees_with_phase_walk_on_pulsed_memory_rows(mean, horizon, 
     rng, state = _stream_generator()
     words = _trial_streams(1, 0, trials).T.reshape(-1, 2, 2)
     expected = math.ceil(1.5 * horizon / mean) + 1
-    toggles = _toggle_times(rng, state, words, 2 ** math.ceil(math.log2(expected)), mean, 0.25, None, horizon)
+    toggles = _toggle_times(rng, state, words, expected, mean, 0.25, None, horizon)
     assert (toggles[:, -1] > horizon).all() and (toggles[:, -1] == toggles[:, -2]).any()
     train = experiments._memory_train(0.5e-3, horizon)
     snapshots = train[7::8]
@@ -759,11 +767,17 @@ def test_train_walk_agrees_with_phase_walk_on_pulsed_memory_rows(mean, horizon, 
     assert np.max(np.abs(walked - merged)) < 1e-14
 
 
-def _recording_draws(monkeypatch):
-    """Patch `_toggle_times` to record the width of each draw of a chunk."""
-    widths = []
+def _recording_draws(monkeypatch, first=None):
+    """Patch `_toggle_times` to record the width of each draw of a chunk.
+    ``first(chunk, width)``, given the chunk's number from 0 and the run's
+    width, gives the width of the chunk's first draw in place of the run's."""
+    widths, chunks = [], []
 
     def recording(rng, state, words, width, *args):
+        if not chunks or words is not chunks[-1]:   # a chunk drawn again passes the same words
+            chunks.append(words)
+            if first is not None:
+                width = first(len(chunks) - 1, width)
         widths.append(width)
         return _toggle_times(rng, state, words, width, *args)
 
@@ -772,24 +786,23 @@ def _recording_draws(monkeypatch):
 
 
 def test_plain_memory_draws_each_chunk_once(monkeypatch):
-    """A plain run knows how many normals a trial needs before any draw, so it
-    starts at the first doubling of `_DRAW_BLOCK` that holds them: 50 here.
-    At spread 0.1 no value is skipped, so no chunk is drawn again."""
+    """A plain run knows how many flips a trial needs before any draw, 50
+    here, so it draws one normal more, 51.  At spread 0.1 no value is
+    skipped, so no chunk is drawn again."""
     draws = _recording_draws(monkeypatch)
     calls = _recording_walk(monkeypatch)
     run_memory(base_memory(interval_spread=0.1, trials=300,
                            observation_times=tuple(4e-3 * k for k in range(1, 26))))
     assert len(calls) > 1
-    assert len(draws) == len(calls)
+    assert draws == [51] * len(calls)
     # a call holds the 50 flips a trial, not the 25 snapshots as well
     assert calls[0] == (experiments._CHUNK_EVENTS // 50, 50)
 
 
 def test_pulsed_memory_draws_each_chunk_once(monkeypatch):
     """A pulsed run draws until the horizon, about 30 flips in the shape of
-    memory_pulsed.json; it starts at the first doubling of `_DRAW_BLOCK` that
-    holds half as many again and one more, 64, so its first chunk is not drawn
-    again at twice the width."""
+    memory_pulsed.json; it draws half as many again and one more, 46, so its
+    first chunk is not drawn again at twice the width."""
     draws = _recording_draws(monkeypatch)
     calls = _recording_walk(monkeypatch)
     with warnings.catch_warnings():
@@ -798,7 +811,7 @@ def test_pulsed_memory_draws_each_chunk_once(monkeypatch):
                              bang_bang=True, pulse_spacing=0.5e-3)
     run_memory(config)
     assert len(calls) > 1
-    assert draws == [64] * len(calls)
+    assert draws == [46] * len(calls)
     # a call holds 46 expected flips and 15 snapshots a trial, not the 120-pulse train as well
     assert calls[0][0] == experiments._CHUNK_EVENTS // (46 + 15)
 
@@ -835,17 +848,30 @@ def test_pulsed_memory_hands_its_walk_one_train(shape, monkeypatch):
     assert all(shift == ((rows,) if shape == "random-phase" else ()) for _, _, shift, rows in calls)
 
 
-def test_a_chunk_drawn_again_leaves_the_next_chunk_at_the_run_width(monkeypatch):
-    """16 cycles need 32 flips a trial, so a plain run starts each chunk at 32
-    normals, with no slack.  Seed 1's trial 1072 skips its eleventh draw, so
-    its chunk, trials 1024-1279, is drawn again at 64; the chunk after it
-    starts at 32 again."""
+# 16 cycles need 32 flips a trial; seed 1's trial 1072 skips its eleventh draw
+SIXTEEN_CYCLES = {"trials": 1500, "observation_times": tuple(4e-3 * k for k in range(1, 17))}
+
+
+def test_a_power_of_two_flip_count_draws_each_chunk_once(monkeypatch):
+    """A plain run draws its 32 flips and one normal more, so the chunk of
+    trial 1072, which skips one value, is drawn once like the other five."""
     assert np.random.default_rng((1, 1072)).standard_normal(11)[10] <= -4
     draws = _recording_draws(monkeypatch)
     calls = _recording_walk(monkeypatch)
-    run_memory(base_memory(trials=1500, observation_times=tuple(4e-3 * k for k in range(1, 17))))
-    assert len(calls) == 6 and 64 in draws
-    assert draws.count(32) == len(calls)
+    run_memory(base_memory(**SIXTEEN_CYCLES))
+    assert len(calls) == 6
+    assert draws == [33] * 6
+
+
+def test_a_chunk_drawn_again_leaves_the_next_chunk_at_the_run_width(monkeypatch):
+    """The chunk of trial 1072, trials 1024-1279, forced to start at 32
+    normals a trial, runs short and is drawn again at 64; the chunk after it
+    starts at the run's 33 again."""
+    draws = _recording_draws(monkeypatch, lambda chunk, width: 32 if chunk == 4 else width)
+    calls = _recording_walk(monkeypatch)
+    run_memory(base_memory(**SIXTEEN_CYCLES))
+    assert len(calls) == 6
+    assert draws == [33] * 4 + [32, 64, 33]
 
 
 def test_transmission_at_the_event_limit_stays_small():
