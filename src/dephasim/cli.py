@@ -427,8 +427,8 @@ def _run_memory(configs: list[experiments.MemoryConfig], out: Path) -> None:
             t2_pred = experiments.dephasing_time(config.j, spread, config.mean_interval)
             retention = experiments.interval_noise_retention(config.j, config.mean_interval, spread)
         final_pred = retention**n_cycles
-        contrast = (
-            f"{experiments.decay_contrast(float(curve.magnitudes[-1]), 1.0, spread):9.3f}"
+        contrast = (   # rounded first, so a negative contrast that rounds to zero prints 0.000, not -0.000
+            f"{round(experiments.decay_contrast(float(curve.magnitudes[-1]), 1.0, spread), 3) + 0.0:9.3f}"
             if spread > 0 else "      n/a"
         )
         if curve.fit is None:

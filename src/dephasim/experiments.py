@@ -399,8 +399,8 @@ def decay_contrast(decay: float, reference: float, spread: float) -> float:
         raise ValueError("decay factors must be positive")
     if spread <= 0:
         raise ValueError("spread must be positive")
-    # divided twice, so that a tiny spread gives inf, not a zero division
-    return float(-math.log(decay / reference) / spread / spread)
+    # 0.0 - x, so ln 1 gives +0.0; divided twice, so a tiny spread gives inf, not a zero division
+    return float((0.0 - math.log(decay / reference)) / spread / spread)
 
 
 def four_case_phase(case: int, eps0: float, eps1: float, spacing: float, j: float) -> float:

@@ -29,6 +29,10 @@ _CYCLE_EPS = np.array([(-1) ** sum("y" in axis for axis in AXIS_CYCLE[:r]) for r
 # Signs of Z x Z on the computational basis; H = (J/4) diag of this.
 _ZZ_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
+# rows per column after the first from which `toggle_walk` adds columns in place; best of 15, us, cumsum
+# vs adds (2-core Xeon, numpy 2.4.6): 2730x3 68 vs 10, 546x15 38 vs 25, 512x16 38 vs 39, 163x50 37 vs 118
+_COLUMN_ADD_ROWS = 32
+
 
 @dataclass(frozen=True, slots=True)
 class CouplingSystem:
@@ -294,9 +298,9 @@ def toggle_walk(j: float, times: np.ndarray, at) -> np.ndarray:
     amplitude is read at the times in the columns ``at`` and returned as a
     C-ordered (trials x len(at)) array.  A toggle changes nothing before
     it, so a read time after the last toggle can be a column of its own.
-    The interval that toggle ``i`` ends has the rate sign ``(-1)**i``, so
-    ``psi`` is one cumulative sum of the signed intervals, with no search
-    or count of toggles: this is the faster walk where no train runs.
+    Toggle ``i`` ends an interval of rate sign ``(-1)**i``, so ``psi`` is a
+    running sum along each row: ``np.cumsum``, or on a tall, narrow chunk
+    column adds in place, the same additions in the same order, same bits.
     """
     # interval lengths along the flattened rows; contiguous operands need no
     # buffers; each row's first interval runs from t = 0
@@ -304,7 +308,11 @@ def toggle_walk(j: float, times: np.ndarray, at) -> np.ndarray:
     np.subtract(times.ravel()[1:], times.ravel()[:-1], out=psi.ravel()[1:])
     psi[:, 0] = times[:, 0]
     psi[:, 1::2] *= -1.0
-    np.cumsum(psi, axis=1, out=psi)
+    if len(psi) >= _COLUMN_ADD_ROWS * (psi.shape[1] - 1):
+        for c in range(1, psi.shape[1]):
+            psi[:, c] += psi[:, c - 1]
+    else:
+        np.cumsum(psi, axis=1, out=psi)
     # take, not psi[:, at]: a group sum over the rows depends on their layout
     return np.exp(0.5j * j * psi.take(at, axis=1))
 

@@ -453,6 +453,22 @@ def test_config_errors_write_nothing(tmp_path, capsys, doc, where):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("contrast", [None, -4e-4])
+def test_a_contrast_of_no_decay_prints_as_zero(tmp_path, monkeypatch, contrast):
+    """At j_hz 1e-300 no trial dephases, so ln 1 made the contrast -0.0 and
+    the row ended in -0.000; a negative contrast that rounds to zero prints
+    0.000 as well."""
+    if contrast is not None:
+        monkeypatch.setattr(experiments, "decay_contrast", lambda *args: contrast)
+    doc = {"experiment": "memory", "seed": 1, "params": {
+        "j_hz": 1e-300, "mean_interval": 2e-3, "interval_spread": 0.1,
+        "observation_times": [4e-3, 8e-3, 12e-3], "trials": 20}}
+    out = tmp_path / "results"
+    assert main([write_json(tmp_path / "c.json", doc), "--out", str(out)]) == 0
+    row = (out / "summary.txt").read_text().splitlines()[-1].split()
+    assert row[0] == "0.100" and row[-1] == "0.000"
+
+
 def test_overflowing_closed_forms_report_no_deviation(tmp_path, capsys):
     """(j * mean_interval * spread) ** 2 used to end in an OverflowError
     traceback; as a product it overflows to a retention of 0 and a t2 of 0."""

@@ -118,7 +118,9 @@ def test_closed_forms_at_extreme_values():
 
 
 def test_decay_contrast():
-    assert decay_contrast(0.5, 0.5, 0.2) == 0.0
+    # no decay gives +0.0, not the -0.0 of -ln 1
+    for no_decay in (decay_contrast(0.5, 0.5, 0.2), decay_contrast(1.0, 1.0, 0.1)):
+        assert no_decay == 0.0 and math.copysign(1.0, no_decay) == 1.0
     expected = -math.log(0.057 / 1.0) / 0.25**2
     assert decay_contrast(0.057, 1.0, 0.25) == pytest.approx(expected)
     with pytest.raises(ValueError):
@@ -624,14 +626,15 @@ TRANSMISSION_SHAPES = {
     "random-phase": {"total_time": 9e-3, "bang_bang": True, "pulse_spacing": 0.3e-3,
                      "random_train_phase": True},
 }
-MEMORY_SHAPES = {"plain": {}, "pulsed": {"bang_bang": True, "pulse_spacing": 0.5e-3}}
+MEMORY_SHAPES = {"plain": {}, "pulsed": {"bang_bang": True, "pulse_spacing": 0.5e-3},
+                 "plain-short": {"observation_times": (4e-3, 8e-3, 12e-3)}}
 
 
 def _memory_config(shape, trials):
+    params = {"observation_times": tuple(4e-3 * k for k in range(1, 11)), **MEMORY_SHAPES[shape]}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return base_memory(trials=trials, observation_times=tuple(4e-3 * k for k in range(1, 11)),
-                           **MEMORY_SHAPES[shape])
+        return base_memory(trials=trials, **params)
 
 
 @pytest.mark.parametrize("shape", sorted(TRANSMISSION_SHAPES))
@@ -648,7 +651,10 @@ def test_transmission_does_not_depend_on_the_entries_per_call(shape, monkeypatch
 @pytest.mark.parametrize("shape", sorted(MEMORY_SHAPES))
 def test_memory_does_not_depend_on_the_entries_per_call(shape, monkeypatch):
     """The sum over trials runs in trial order whatever the rows per call;
-    1,000 trials end in a partial chunk."""
+    1,000 trials end in a partial chunk.  A plain chunk of one trial takes
+    `toggle_walk`'s cumsum and one of 1,000 rows its column adds: at the
+    widest budget with 20 flips a trial, and at the default one too with the
+    6 of "plain-short"."""
     config = _memory_config(shape, 1000)
     runs = []
     for budget in ENTRY_BUDGETS:
