@@ -896,22 +896,34 @@ def fit_exponential(times, magnitudes, floor: float = FIT_FLOOR) -> ExponentialF
     Points at or below ``floor`` are excluded.  A non-negative slope, or
     one whose total log-drop over the fitted window is below numerical
     noise, is reported as ``decaying=False`` with an infinite time
-    constant rather than a nonsense near-zero or negative one.
+    constant rather than a nonsense near-zero or negative one; so is a
+    window whose times are all equal, fitted by its mean log magnitude.
     """
     times = np.asarray(times, dtype=float)
     magnitudes = np.asarray(magnitudes, dtype=float)
     if times.shape != magnitudes.shape:
         raise ValueError("times and magnitudes must have matching shapes")
+    if not np.isfinite(times).all():
+        raise ValueError(f"times must be finite, got {times[~np.isfinite(times)]}")
     keep = magnitudes > floor
     used = int(np.count_nonzero(keep))
     if used < 3:
         raise ValueError(f"need at least 3 points above floor={floor}, have {used}")
     t = times[keep]
-    y = np.log(magnitudes[keep])
-    design = np.stack([t, np.ones_like(t)], axis=1)
-    (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
-    residual = float(np.sqrt(np.mean((design @ [slope, intercept] - y) ** 2)))
+    m = magnitudes[keep]
+    if not 0.0 < m.min() <= m.max() < math.inf:
+        raise ValueError(f"magnitudes above floor={floor} must be positive and finite, "
+                         f"got {m[(m <= 0.0) | (m == math.inf)]}")
+    y = np.log(m)
+    # the least-squares line through the centred points, times in units of the span so no
+    # square under- or overflows; centring y as well keeps the means' rounding out of the slope
+    span = float(t.max() - t.min())
+    unit = span or 1.0   # a window of one time has no slope
+    t_mean, y_mean = float(t.sum()) / used, float(y.sum()) / used
+    du, dy = (t - t_mean) / unit, y - y_mean
+    drop = float(du @ dy) / float(du @ du) if span else 0.0   # the log-change across the window
+    dy -= drop * du   # the residuals
     # flat within roundoff: a log-drop under 1e-12 across the window is noise
-    if slope * (t.max() - t.min()) > -1e-12:
-        return ExponentialFit(math.inf, float(intercept), residual, used, False)
-    return ExponentialFit(float(-1.0 / slope), float(intercept), residual, used, True)
+    decaying = drop <= -1e-12
+    return ExponentialFit(-span / drop if decaying else math.inf, y_mean - drop * (t_mean / unit),
+                          math.sqrt(float(dy @ dy) / used), used, decaying)

@@ -1,11 +1,12 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from concurrent.futures import ThreadPoolExecutor
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dephasim import (
     CouplingSystem,
@@ -36,6 +37,7 @@ from dephasim import (
 )
 from dephasim import experiments
 from dephasim.experiments import (
+    FIT_FLOOR,
     MAX_TRIAL_EVENTS,
     MAX_TRIALS,
     _STREAM_BLOCK,
@@ -1179,3 +1181,127 @@ def test_fit_exponential_flags_non_decay():
     assert not flat.decaying and flat.t2 == math.inf
     rising = fit_exponential(t, np.exp(+t / 2.0) / 3.0)
     assert not rising.decaying and rising.t2 == math.inf
+
+
+def test_fit_exponential_refuses_non_finite_times():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="times must be finite"):
+            fit_exponential([0.0, bad, 2.0], [0.5, 0.4, 0.3])
+
+
+@pytest.mark.parametrize("bad, floor", [(math.inf, FIT_FLOOR), (0.0, -1.0), (-0.1, -1.0)])
+def test_fit_exponential_refuses_kept_magnitudes_that_are_not_positive_and_finite(bad, floor):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        fit_exponential([0.0, 1.0, 2.0], [0.5, bad, 0.3], floor=floor)
+
+
+def test_fit_exponential_of_one_time_is_flat_at_the_mean_log():
+    """No slope fits a window of one time: the fit is flat, through the
+    geometric mean of the magnitudes, not a minimum-norm line."""
+    fit = fit_exponential([1.0, 1.0, 1.0], [0.5, 0.4, 0.3])
+    assert not fit.decaying and fit.t2 == math.inf
+    assert fit.intercept == pytest.approx(np.log([0.5, 0.4, 0.3]).mean(), rel=1e-15)
+    assert fit.magnitude(1.0) == pytest.approx(0.06 ** (1 / 3), rel=1e-15)
+    assert fit.residual == pytest.approx(np.log([0.5, 0.4, 0.3]).std(), rel=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e300])
+def test_fit_exponential_does_not_depend_on_the_unit_of_time(scale):
+    """A config may set its mean interval anywhere a float reaches, so the
+    fit must give the same line in any unit: the squares of tiny or huge
+    times would under- or overflow, and lstsq's rank cutoff drops a column
+    of its design there."""
+    t = 4e-3 * np.arange(1, 26)
+    m = np.exp(0.1 - t / 0.05 + 0.05 * np.sin(7 * np.arange(25)))
+    fit, scaled = fit_exponential(t, m), fit_exponential(t * scale, m)
+    assert scaled.decaying and scaled.t2 == pytest.approx(fit.t2 * scale, rel=1e-12)
+    assert scaled.intercept == pytest.approx(fit.intercept, rel=1e-12)
+    assert scaled.residual == pytest.approx(fit.residual, rel=1e-12)
+
+
+def _lstsq_fit(t, m):
+    """Slope, intercept and RMS residual of the log-linear fit by LAPACK's
+    least squares over the points above the floor, with those points and
+    the condition number of the design."""
+    keep = m > FIT_FLOOR
+    t, y = t[keep], np.log(m[keep])
+    design = np.stack([t, np.ones_like(t)], axis=1)
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    residual = float(np.sqrt(np.mean((design @ coef - y) ** 2)))
+    return coef[0], coef[1], residual, t, y, float(np.linalg.cond(design))
+
+
+def _exact_fit(t, y):
+    """Slope, intercept and RMS residual of the least-squares line through
+    the float points ``(t, y)``, exact: each float is an integer over a power
+    of two, so over the largest such power every sum below is an integer."""
+    def integers(values):
+        ratios = [float(v).as_integer_ratio() for v in values]
+        scale = max(q for _, q in ratios)
+        return [p * (scale // q) for p, q in ratios], scale
+
+    (ti, t_scale), (yi, y_scale) = integers(t), integers(y)
+    n, t_sum, y_sum = len(ti), sum(ti), sum(yi)
+    # n times the centred sums of squares and products of the integers
+    sxx = n * sum(a * a for a in ti) - t_sum**2
+    syy = n * sum(b * b for b in yi) - y_sum**2
+    sxy = n * sum(a * b for a, b in zip(ti, yi)) - t_sum * y_sum
+    slope = Fraction(sxy * t_scale, sxx * y_scale)
+    intercept = Fraction(y_sum, n * y_scale) - slope * Fraction(t_sum, n * t_scale)
+    square = Fraction(syy * sxx - sxy**2, n**2 * sxx * y_scale**2)
+    return float(slope), float(intercept), math.sqrt(square)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(3, 200), seed=st.integers(0, 2**32 - 1), start=st.floats(0.0, 0.1),
+       step=st.floats(1e-5, 1e-2), even=st.booleans(), t2=st.floats(1e-3, 10.0),
+       log_m0=st.floats(math.log(FIT_FLOOR), 1.0), noise=st.floats(0.0, 0.5))
+def test_fit_exponential_matches_lstsq(n, seed, start, step, even, t2, log_m0, noise):
+    """The closed form against an lstsq reference and the exact line, on
+    noisy decays that start near or above the floor and cross it.  Each
+    quantity agrees with lstsq to 1e-12 relative, or to 1e-12 of its
+    roundoff scale times the design's condition number, which bounds
+    lstsq's own error: ``|y| / |t - mean t|`` for the slope, and ``|y|`` plus
+    the slope's scale times the latest time for the intercept and the
+    residual, whose roundoff the rounded mean time sets.  Closely spaced times far from zero make a design of
+    condition number up to about 1e5, where lstsq strays further than the
+    closed form does from the exact line."""
+    rng = np.random.default_rng(seed)
+    gaps = np.full(n, step) if even else step * rng.uniform(0.1, 2.0, n)
+    t = start + np.cumsum(gaps)
+    m = np.exp(log_m0 - t / t2 + noise * rng.standard_normal(n))
+    assume(np.count_nonzero(m > FIT_FLOOR) >= 3)
+    slope, intercept, residual, t_kept, y, cond = _lstsq_fit(t, m)
+    fit = fit_exponential(t, m)
+    y_scale = float(np.max(np.abs(y)))
+    slope_scale = float(np.linalg.norm(y) / np.linalg.norm(t_kept - t_kept.mean()))
+    line_scale = y_scale + slope_scale * float(t_kept.max())
+    tol = 1e-12 * cond
+    assert fit.n_used == len(y)
+    assert fit.decaying == (slope * (t_kept.max() - t_kept.min()) <= -1e-12)
+    if fit.decaying:
+        assert -1.0 / fit.t2 == pytest.approx(slope, rel=1e-12, abs=tol * slope_scale)
+    assert fit.intercept == pytest.approx(intercept, rel=1e-12, abs=tol * line_scale)
+    assert fit.residual == pytest.approx(residual, rel=1e-12, abs=tol * line_scale)
+    # and within 32 units of roundoff (2**-52 of each scale) of the exact line
+    slope, intercept, residual = _exact_fit(t_kept, y)
+    ulps = 32 * 2.0**-52
+    if fit.decaying:
+        assert -1.0 / fit.t2 == pytest.approx(slope, rel=ulps, abs=ulps * slope_scale)
+    assert fit.intercept == pytest.approx(intercept, abs=ulps * line_scale)
+    assert fit.residual == pytest.approx(residual, abs=ulps * line_scale)
+
+
+@pytest.mark.parametrize("overrides", [{}, {"bang_bang": True, "pulse_spacing": 0.5e-3}])
+def test_run_memory_makes_no_linalg_call(overrides, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called on the run path")
+
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):   # LinAlgError stays
+            monkeypatch.setattr(np.linalg, name, refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        config = base_memory(**overrides)
+    curve = run_memory(config)
+    assert curve.fit is not None and curve.fit.decaying
