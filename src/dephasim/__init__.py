@@ -49,6 +49,7 @@ from .pulse import (
     LabFrameParams,
     PulseEvent,
     PulseSchedule,
+    PulseTrain,
     conditional_phase_evolution,
     cyclic_axes,
     lab_frame_hamiltonian,

@@ -31,6 +31,7 @@ from .pulse import (
     CouplingSystem,
     PulseEvent,
     PulseSchedule,
+    PulseTrain,
     cyclic_axes,
     simulate_amplitudes,  # noqa: F401  the oracle; bench/bench.py traces calls through this name
     toggle_walk,
@@ -766,7 +767,7 @@ def run_transmission(config: TransmissionConfig) -> EnsembleResult:
     `train_walk` takes the toggles, the train and the read time.
     """
     if config.bang_bang:
-        train = config.noise_start + np.arange(config.pulse_count()) * config.pulse_spacing
+        train = PulseTrain(config.noise_start + np.arange(config.pulse_count()) * config.pulse_spacing)
         read = np.array([config.total_time])
     amps = np.empty(config.trials, dtype=complex)
     # two toggles and a read a trial; the train is one row all trials share
@@ -857,8 +858,12 @@ def run_memory(config: MemoryConfig) -> DecayCurve:
     times = np.asarray(config.observation_times, dtype=float)
     horizon = times[-1]
     count = None
+    # this thread's generator, set to trial k's stream by writing k's words before
+    # k's draws; a process's first one imports numpy.random, the run's memory peak,
+    # so it is built before the train
+    rng, state = _stream_generator()
     if config.bang_bang:
-        train = _memory_train(config.pulse_spacing, horizon)
+        train = PulseTrain(_memory_train(config.pulse_spacing, horizon))
         # the flips before the horizon, with room for their count's spread
         width = math.ceil(1.5 * horizon / config.mean_interval) + 1
         # expected toggles and snapshots a trial; the train is one row all trials share
@@ -867,8 +872,6 @@ def run_memory(config: MemoryConfig) -> DecayCurve:
         entries = count = 2 * max(config.cycle_counts())
         width = count + 1   # one skipped value is not a redraw
         read_flips = np.array(config.cycle_counts()) * 2 - 1
-    # this thread's generator, set to trial k's stream by writing k's words before k's draws
-    rng, state = _stream_generator()
     acc = np.zeros((1, len(times)), dtype=complex)
     # a draw chunk is a kernel chunk
     for first, streams in _trial_chunks(config.seed, config.trials, entries):
@@ -905,6 +908,9 @@ def fit_exponential(times, magnitudes, floor: float = FIT_FLOOR) -> ExponentialF
         raise ValueError("times and magnitudes must have matching shapes")
     if not np.isfinite(times).all():
         raise ValueError(f"times must be finite, got {times[~np.isfinite(times)]}")
+    # NaN > floor is False, so the floor would drop a NaN without a word
+    if np.isnan(magnitudes).any():
+        raise ValueError(f"magnitudes must not be NaN, got NaN at times {times[np.isnan(magnitudes)]}")
     keep = magnitudes > floor
     used = int(np.count_nonzero(keep))
     if used < 3:

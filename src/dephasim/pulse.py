@@ -214,15 +214,79 @@ def simulate_amplitudes(schedule: PulseSchedule, times: Sequence[float]) -> np.n
     return out
 
 
-def train_walk(j: float, toggles: np.ndarray, train: np.ndarray, snapshots: np.ndarray,
+class PulseTrain:
+    """A run's pi-pulse train on qubit 1, built once and shared by every chunk.
+
+    ``times`` are the ascending pulse times.  ``starts`` holds t = 0 and the
+    pulses, ``signs`` the train's switching function from each start to the
+    next and ``at_start`` its integral ``G`` at each start: `train_walk`'s
+    table of ``G``.  `index` counts the pulses before a time.
+    """
+
+    __slots__ = ("times", "starts", "signs", "at_start", "_ends", "_base", "_scale")
+
+    def __init__(self, times):
+        times = np.asarray(times, dtype=float)
+        if times.ndim != 1 or not np.isfinite(times).all() or (np.diff(times) < 0.0).any():
+            raise ValueError("pulse times must be a finite, ascending 1-D array")
+        n = len(times)
+        # t = 0, the pulses and inf: at k, G's table starts and the index finds pulse k - 1;
+        # each table is built in place, as a run's train may hold 100,000 pulses
+        self._ends = np.concatenate(([0.0], times, [np.inf]))
+        self.starts, self.times = self._ends[:-1], self._ends[1:-1]
+        self.signs = np.ones(n + 1)
+        self.signs[1::2] = -1.0
+        self.at_start = np.zeros(n + 1)
+        np.subtract(self.times, self.starts[:-1], out=self.at_start[1:])
+        self.at_start[1:] *= self.signs[:-1]
+        np.cumsum(self.at_start[1:], out=self.at_start[1:])
+        for table in (self._ends, self.signs, self.at_start):
+            table.setflags(write=False)
+        # the guess (t - t_0) / d + 1, d the mean spacing (any for one pulse), is
+        # within one of the count of the pulses before t when every pulse lies
+        # within d / 4 of t_0 + k d, less a few ulps for the rounding of t_0 + k d
+        spacing = float(times[-1] - times[0]) / (n - 1) if n > 1 else 1.0
+        regular = False
+        if n:
+            off_grid = np.arange(n, dtype=float)
+            off_grid *= spacing
+            off_grid += times[0]
+            off_grid -= times
+            slack = 4.0 * np.spacing(max(-times[0], times[-1]))
+            regular = np.abs(off_grid, out=off_grid).max() + slack <= 0.25 * spacing
+        # on any other train (equal pulses, or none) the index searches
+        self._base = times[0] - spacing if regular else None
+        self._scale = 1.0 / spacing if regular else None
+
+    def index(self, t) -> np.ndarray:
+        """``np.searchsorted(times, t, "left")``, the pulses before each of
+        ``t``: on a regular train an arithmetic guess, put right by one step
+        against its neighbouring pulses."""
+        if self._base is None:
+            return np.searchsorted(self.times, t, "left")
+        guess = t - self._base
+        guess *= self._scale
+        # at least 1, so a step down reads pulse 0, not t = 0; two ufuncs cost
+        # less than np.clip on a chunk's few snapshots
+        np.minimum(guess, len(self.times), out=guess)
+        np.maximum(guess, 1.0, out=guess)
+        k = guess.astype(np.intp)   # floor, as the guess is positive
+        # a step where a neighbour says so; the neighbours go into the guess's memory and
+        # a mask picks the step (a bool operand cast to intp would add a t-sized buffer)
+        np.subtract(k, 1, out=k, where=self._ends.take(k, out=guess, mode="clip") >= t)
+        np.add(k, 1, out=k, where=self._ends[1:].take(k, out=guess, mode="clip") < t)
+        return k
+
+
+def train_walk(j: float, toggles: np.ndarray, train: PulseTrain, snapshots: np.ndarray,
                shift=0.0) -> np.ndarray:
     """Qubit-1 transverse amplitudes of a chunk of trials under a shared pi-pulse train.
 
     Each trial starts as in `simulate_amplitudes`, its exact oracle: both
     qubits in |0> and a y pi/2 pulse at t = 0 set ``a = a_x + i a_y`` to 1.
     A row of ``toggles`` holds one trial's pi pulses on qubit 2, ascending,
-    and may be padded past the last snapshot.  ``train`` holds the pi
-    pulses on qubit 1, ascending, pulse k about ``AXIS_CYCLE[k % 8]``:
+    and may be padded past the last snapshot.  ``train``, a `PulseTrain`,
+    holds the pi pulses on qubit 1, pulse k about ``AXIS_CYCLE[k % 8]``:
     ``a -> eps * conj(a)``, ``eps`` 1 for ±x and -1 for ±y.  ``shift``, a
     non-negative time a trial or ``0.0``, moves each trial's train later.
     ``a`` is read at the ascending, positive ``snapshots``, a column each.
@@ -235,41 +299,37 @@ def train_walk(j: float, toggles: np.ndarray, train: np.ndarray, snapshots: np.n
     of the train's own switching function, a snapshot at ``T`` after a
     row's toggles ``t_1 < ... < t_m`` has
     ``psi = 2 sum_k (-1)^(k+1) G(t_k) + (-1)^m G(T)``: work per toggle, not
-    per pulse, with ``G`` read off a table of its values at the pulses.  A
-    train shifted by ``o`` has ``G(u - o) + o`` for ``G``, since ``G(u) = u``
-    before the first pulse; the ``o`` terms sum to one ``o`` whatever ``m``.
+    per pulse, with ``G`` read off the train's table of its values at the
+    pulses, at the pulse its `PulseTrain.index` finds.  A train shifted by
+    ``o`` has ``G(u - o) + o`` for ``G``, since ``G(u) = u`` before the
+    first pulse; the ``o`` terms sum to one ``o`` whatever ``m``.
     At one instant a snapshot reads before a pulse and a toggle; ``G`` is
     continuous, so where a toggle falls against a pulse changes nothing.
     """
     rows, n_toggles = toggles.shape
     n_snap = len(snapshots)
     o = np.asarray(shift)[..., None]   # a column of each row's shift, or one for all rows
-    # G at t = 0 and at each pulse, and the train's sign from there to the next pulse
-    starts = np.concatenate(([0.0], train))
-    signs = 1.0 - 2.0 * (np.arange(len(starts)) & 1)
-    at_start = np.zeros(len(starts))
-    np.cumsum(signs[:-1] * np.diff(starts), out=at_start[1:])
+    starts, signs, at_start = train.starts, train.signs, train.at_start
     # the pulses a snapshot follows; x - 0.0 is x, but T - o rounds, so a
-    # shifted pulse next to it is settled by its own time, equal pulses together
+    # shifted pulse next to it is settled by its own time, equal pulses
+    # together: the pulses up to one are those before the next float
     x = snapshots - o
-    before = np.searchsorted(train, x, "left")
+    before = train.index(x)
     if o.any():
-        after = starts.take(before + 1, mode="clip")
-        before = np.where(after + o < snapshots, np.searchsorted(train, after, "right"), before)
+        after = train._ends.take(before + 1)   # the next pulse, inf past the last
+        late = after + o < snapshots   # rare, so looked up only where it happens
+        if late.any():
+            before = np.where(late, train.index(np.nextafter(after, np.inf)), before)
         prior = starts[before]
-        before = np.where(prior + o >= snapshots, np.searchsorted(train, prior, "left"), before)
-    # m, the toggles before each snapshot: per row, a histogram of the first snapshot after each toggle
-    slot = np.searchsorted(snapshots, toggles, "right")
-    slot += np.arange(0, rows * (n_snap + 1), n_snap + 1)[:, None]
-    m = np.bincount(slot.ravel(), minlength=rows * (n_snap + 1)).reshape(rows, n_snap + 1)
-    del slot
-    m = np.cumsum(m[:, :n_snap], axis=1)
+        early = prior + o >= snapshots
+        if early.any():
+            before = np.where(early, train.index(prior), before)
     # (-1)^(k+1) G(t_k - o), the difference from the pulse first, so its error
     # is an ulp of the spacing, not of the time; contiguous operands keep numpy
     # from buffering them, so at most three toggle-sized temporaries are alive
-    # at once; t - 0.0 is t, -0.0 included
+    # at once, m's rows not yet among them; t - 0.0 is t, -0.0 included
     g = toggles - o
-    k = np.searchsorted(train, g, "left")
+    k = train.index(g)
     g -= starts.take(k)
     g *= signs.take(k)
     g += at_start.take(k)
@@ -279,6 +339,12 @@ def train_walk(j: float, toggles: np.ndarray, train: np.ndarray, snapshots: np.n
     partial = np.zeros((rows, n_toggles + 1))
     np.cumsum(g, axis=1, out=partial[:, 1:])
     del g
+    # m, the toggles before each snapshot: per row, a histogram of the first snapshot after each toggle
+    slot = np.searchsorted(snapshots, toggles, "right")
+    slot += np.arange(0, rows * (n_snap + 1), n_snap + 1)[:, None]
+    m = np.bincount(slot.ravel(), minlength=rows * (n_snap + 1)).reshape(rows, n_snap + 1)
+    del slot
+    m = np.cumsum(m[:, :n_snap], axis=1)
     psi = np.take_along_axis(partial, m, axis=1)
     del partial
     psi *= 2.0

@@ -14,6 +14,7 @@ from dephasim import (
     MemoryConfig,
     PulseEvent,
     PulseSchedule,
+    PulseTrain,
     TransmissionConfig,
     bang_bang_dephasing_time,
     bang_bang_retention,
@@ -746,7 +747,7 @@ def test_train_walk_agrees_with_phase_walk_on_transmission_rows(random_phase):
     steps = np.arange(config.pulse_count()) * spacing
     train = start + steps
     walked = train_walk(J_REF, np.stack((np.full(len(ends), start), np.minimum(ends, total)), axis=1),
-                        train, np.array([total]), shift)
+                        PulseTrain(train), np.array([total]), shift)
     pulses = start + np.reshape(shift, (-1, 1)) + steps
     merged = phase_walk(J_REF, np.stack((np.full(len(ends), start), ends), axis=1),
                         np.broadcast_to(pulses, (len(ends), len(steps))), np.full((len(ends), 1), total))
@@ -769,7 +770,7 @@ def test_train_walk_agrees_with_phase_walk_on_pulsed_memory_rows(mean, horizon, 
     assert (toggles[:, -1] > horizon).all() and (toggles[:, -1] == toggles[:, -2]).any()
     train = experiments._memory_train(0.5e-3, horizon)
     snapshots = train[7::8]
-    walked = train_walk(J_REF, toggles, train, snapshots)
+    walked = train_walk(J_REF, toggles, PulseTrain(train), snapshots)
     merged = phase_walk(J_REF, toggles, np.broadcast_to(train, (trials, len(train))),
                         np.broadcast_to(snapshots, (trials, len(snapshots))))
     assert np.max(np.abs(walked - merged)) < 1e-14
@@ -832,7 +833,7 @@ def test_pulsed_memory_hands_its_walk_one_train(shape, monkeypatch):
     calls = []
 
     def recording(j, toggles, train, snapshots, shift=0.0):
-        calls.append((train.shape, snapshots.shape, np.shape(shift), len(toggles)))
+        calls.append((train.times.shape, snapshots.shape, np.shape(shift), len(toggles)))
         return train_walk(j, toggles, train, snapshots, shift)
 
     def free(*args):
@@ -854,6 +855,37 @@ def test_pulsed_memory_hands_its_walk_one_train(shape, monkeypatch):
     assert len(calls) > 1
     assert all((train, snapshots) == expected for train, snapshots, _, _ in calls)
     assert all(shift == ((rows,) if shape == "random-phase" else ()) for _, _, shift, rows in calls)
+
+
+@pytest.mark.parametrize("shape", ["memory", "locked", "random-phase"])
+def test_a_pulsed_run_builds_its_train_once(shape, monkeypatch):
+    """A 250-trial pulsed memory run and a 5,000-trial pulsed transmission
+    run walk two chunks each, and both chunks walk one `PulseTrain`, built
+    once before the first."""
+    built, walked = [], []
+
+    class CountedTrain(PulseTrain):
+        __slots__ = ()
+
+        def __init__(self, times):
+            built.append(self)
+            super().__init__(times)
+
+    def recording(j, toggles, train, snapshots, shift=0.0):
+        walked.append(train)
+        return train_walk(j, toggles, train, snapshots, shift)
+
+    monkeypatch.setattr(experiments, "PulseTrain", CountedTrain)
+    monkeypatch.setattr(experiments, "train_walk", recording)
+    if shape == "memory":
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_memory(base_memory(trials=250, observation_times=tuple(4e-3 * k for k in range(1, 16)),
+                                   bang_bang=True, pulse_spacing=0.5e-3))
+    else:
+        run_transmission(base_transmission(trials=5000, **TRANSMISSION_SHAPES[shape]))
+    assert len(built) == 1 and len(walked) == 2
+    assert all(train is built[0] for train in walked)
 
 
 # 16 cycles need 32 flips a trial; seed 1's trial 1072 skips its eleventh draw
@@ -1193,6 +1225,13 @@ def test_fit_exponential_refuses_non_finite_times():
 def test_fit_exponential_refuses_kept_magnitudes_that_are_not_positive_and_finite(bad, floor):
     with pytest.raises(ValueError, match="must be positive and finite"):
         fit_exponential([0.0, 1.0, 2.0], [0.5, bad, 0.3], floor=floor)
+
+
+def test_fit_exponential_refuses_a_nan_magnitude():
+    """NaN > floor is False, so a floor alone would fit the other three
+    points and hide the hole; the error names the NaN's time instead."""
+    with pytest.raises(ValueError, match=r"must not be NaN, got NaN at times \[1\.\]"):
+        fit_exponential([0.0, 1.0, 2.0, 3.0], [0.5, math.nan, 0.3, 0.2])
 
 
 def test_fit_exponential_of_one_time_is_flat_at_the_mean_log():

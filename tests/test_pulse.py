@@ -1,6 +1,9 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dephasim import (
     AXIS_CYCLE,
@@ -9,6 +12,7 @@ from dephasim import (
     LabFrameParams,
     PulseEvent,
     PulseSchedule,
+    PulseTrain,
     SIGMA_X,
     conditional_phase_evolution,
     cyclic_axes,
@@ -27,7 +31,7 @@ from dephasim import (
     validate_density,
 )
 
-from dephasim.experiments import _trial_schedule
+from dephasim.experiments import MAX_TRIAL_EVENTS, _memory_train, _trial_schedule
 from dephasim.pulse import AXES
 
 from helpers import J_REF, phase_walk, random_density, rho_00
@@ -426,7 +430,7 @@ def test_train_walk_matches_simulate_amplitudes(chunk):
     state-vector oracle, trial by trial, with all three kinds of event at
     one instant.  Pulse k is about the cycle's axis k."""
     toggles, train, snapshots, shift = chunk
-    amps = train_walk(J_REF, toggles, train, snapshots, shift)
+    amps = train_walk(J_REF, toggles, PulseTrain(train), snapshots, shift)
     assert amps.shape == (len(toggles), len(snapshots))
     for row in range(len(toggles)):
         pulses = train + shift[row]
@@ -442,15 +446,82 @@ def test_train_walk_orders_events_at_one_instant():
     tau = 1.5e-3
     train = np.full(3, tau)
     snapshots = np.array([tau, 2 * tau])
-    amps = train_walk(J_REF, np.array([[tau]]), train, snapshots)
+    amps = train_walk(J_REF, np.array([[tau]]), PulseTrain(train), snapshots)
     assert amps[0, 0] == pytest.approx(np.exp(0.5j * J_REF * tau), abs=1e-15)
     assert amps[0, 1] == pytest.approx(-np.exp(-1j * J_REF * tau), abs=1e-12)
     schedule = _trial_schedule(J_REF, [tau], train, 2 * tau)
     assert np.max(np.abs(amps[0] - simulate_amplitudes(schedule, snapshots))) < 1e-12
     # without the toggle the y pulse alone acts at tau, after the first read
-    alone = train_walk(J_REF, np.empty((1, 0)), train, snapshots)
+    alone = train_walk(J_REF, np.empty((1, 0)), PulseTrain(train), snapshots)
     assert alone[0, 0] == amps[0, 0]
     assert alone[0, 1] == pytest.approx(-1.0, abs=1e-12)
+
+
+@st.composite
+def indexed_trains(draw):
+    """Ascending pulse times, whether a run builds trains like them, and a
+    shift in [0, spacing): a memory train, ``k * spacing`` up to a horizon
+    with its last pulse clamped onto it, a transmission train
+    ``noise_start + k * spacing`` of up to `MAX_TRIAL_EVENTS` pulses, a
+    regular train jittered by up to a fifth of its spacing, equal pulses, or
+    any ascending times."""
+    kind = draw(st.sampled_from(["memory", "transmission", "jittered", "equal", "any"]))
+    if kind == "memory":
+        spacing = draw(st.one_of(st.sampled_from([1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4]), st.floats(1e-6, 1e-2)))
+        horizon = draw(st.one_of(st.integers(1, 250).map(lambda k: k * 4e-3), st.floats(spacing, 1.0)))
+        assume(horizon / spacing <= MAX_TRIAL_EVENTS)
+        times = _memory_train(spacing, horizon)
+    elif kind in ("transmission", "jittered"):
+        n = draw(st.integers(1, MAX_TRIAL_EVENTS))
+        start, spacing = draw(st.floats(1e-4, 1e-2)), draw(st.floats(1e-9, 1e-3))
+        times = start + np.arange(n) * spacing
+        if kind == "jittered":
+            seed = draw(st.integers(0, 2**32 - 1))
+            times = np.sort(times + spacing * np.random.default_rng(seed).uniform(-0.2, 0.2, n))
+    elif kind == "equal":
+        times, spacing = np.full(draw(st.integers(1, 4)), 1.5e-3), 1e-4
+    else:
+        times = np.array(sorted(draw(st.lists(st.floats(0.0, 1e-2), max_size=12))))
+        spacing = 1e-4
+    shift = draw(st.one_of(st.just(0.0), st.floats(0.0, spacing, exclude_max=True)))
+    return times, kind in ("memory", "transmission"), shift
+
+
+@settings(max_examples=60, deadline=None)
+@given(indexed_trains())
+# memory_pulsed.json's train, 120 pulses up to 60 ms, and 1,200 at 50 us, whose last rounds past the horizon
+@example((_memory_train(0.5e-3, 60e-3), True, 0.0))
+@example((_memory_train(5e-5, 60e-3), True, 0.0))
+# the longest transmission train: the index's guess strays furthest here
+@example((1e-3 + np.arange(MAX_TRIAL_EVENTS) * 4e-8, True, 1.234e-8))
+# the zero-spacing train of test_train_walk_orders_events_at_one_instant
+@example((np.full(3, 1.5e-3), False, 0.0))
+def test_pulse_train_index_is_searchsorted(case):
+    """`PulseTrain.index` gives `np.searchsorted(times, t, "left")` at every
+    pulse and one ulp either side, before the first pulse and after the
+    last, at -0.0 and 0.0; then at each of those less the shift, and at
+    each pulse shifted and the shift taken off again, as `train_walk` looks
+    up a shifted train.  A train a run builds is indexed with no search."""
+    times, built_by_a_run, shift = case
+    train = PulseTrain(times)
+    at = np.concatenate((times, np.nextafter(times, -np.inf), np.nextafter(times, np.inf), [-0.0, 0.0]))
+    if len(times):
+        at = np.concatenate((at, [times[0] - 1.0, times[0] / 2, times[-1] * 2, times[-1] + 1.0]))
+    at = np.concatenate((at, at - shift, (times + shift) - shift))
+    expected = np.searchsorted(times, at, "left")
+    search = mock.patch.object(np, "searchsorted", side_effect=AssertionError("searched"))
+    with search if built_by_a_run else contextlib.nullcontext():
+        assert np.array_equal(train.index(at), expected)
+    # the rows of a chunk, read in one call
+    rows = at[: len(at) // 2 * 2].reshape(2, -1)
+    assert np.array_equal(train.index(rows), np.searchsorted(times, rows, "left"))
+
+
+@pytest.mark.parametrize("times", [[2e-3, 1e-3], [1e-3, np.nan], [1e-3, np.inf], [[1e-3, 2e-3]]])
+def test_pulse_train_refuses_times_it_cannot_index(times):
+    """The index and the table of ``G`` need finite, ascending times in one row."""
+    with pytest.raises(ValueError, match="finite, ascending 1-D"):
+        PulseTrain(times)
 
 
 def test_lab_frame_hamiltonian_shape():
