@@ -129,6 +129,10 @@ _TRANSMISSION_OPTIONS = {"bang_bang": bool, "pulse_spacing": float, "pulses_per_
                          "random_train_phase": bool, "group_size": int, "remove_trivial_phase": bool}
 _MEMORY_OPTIONS = {"bang_bang": bool, "pulse_spacing": float}
 _VERIFY_OPTIONS = {"omega_2_hz": float, "j_hz": float, "t": float}
+# largest omega_2 or j, rad/s, of the verify check: its residual matrix's
+# entries stay under about 1.2 times the larger, and four of their squares
+# must sum below the largest float
+_MAX_FRAME_RATE = math.sqrt(sys.float_info.max) / 16
 
 # the keys of the config document and those each experiment reads from
 # params; any other key is refused
@@ -491,6 +495,13 @@ def _frame_check(params: dict) -> pulse.FrameCheck:
     values = {"omega_2_hz": 500.0, "j_hz": 215.5, "t": 1e-3} | _options(params, _VERIFY_OPTIONS, loc)
     omega_2 = TWO_PI * _positive(values["omega_2_hz"], "omega_2_hz", loc)
     j = TWO_PI * _positive(values["j_hz"], "j_hz", loc)
+    # the check's norms square the Hamiltonian's entries, and R(t) winds by
+    # omega_2 (t + dt) / 2: refuse what would overflow into inf or NaN residuals
+    for key, rate in (("omega_2_hz", omega_2), ("j_hz", j)):
+        if not rate <= _MAX_FRAME_RATE:
+            raise ConfigError(f"{key} is too large: the check's norms would overflow", f"{loc}.{key}")
+    if not math.isfinite(0.5 * omega_2 * (abs(values["t"]) + max(pulse.FRAME_CHECK_STEPS))):
+        raise ConfigError("t is too large: the frame's phase omega_2 * t / 2 would overflow", f"{loc}.t")
     return pulse.rotating_frame_check(pulse.LabFrameParams(omega_2 / 4.0, omega_2, j), values["t"])
 
 

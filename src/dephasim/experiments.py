@@ -122,6 +122,12 @@ class TransmissionConfig:
             if self.noise_start + n * self.pulse_spacing > self.total_time + 1e-12:
                 raise FieldError("pulses_per_trial" if counted else "total_time",
                                  f"train of {n} pulses does not fit between noise_start and total_time")
+            # a set count may end the train inside the longest window; the default is sized to span it
+            if counted and (n - 1) * self.pulse_spacing < 2 * PI / self.j:
+                # stacklevel 3: past the dataclass __init__, to the code that built the config
+                warnings.warn(FieldWarning("pulses_per_trial", f"train of {n} pulses ends before the noise "
+                                           "window can close; the closed-form retention factor does not apply"),
+                              stacklevel=3)
         elif self.pulses_per_trial is not None:
             raise FieldError("pulses_per_trial", "pulses_per_trial only applies with bang_bang")
         elif self.random_train_phase:

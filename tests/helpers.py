@@ -1,16 +1,12 @@
-"""Shared test utilities: random states, the embedded-window oracle schedule
-and `phase_walk`, the merged walk that `toggle_walk` and `train_walk` are
-checked against."""
+"""Shared test utilities: random states, unitaries and the embedded-window
+oracle schedule."""
 import numpy as np
 
-from dephasim import AXIS_CYCLE, CouplingSystem, PulseEvent, PulseSchedule
+from dephasim import CouplingSystem, PulseEvent, PulseSchedule
 
 PI = np.pi
 
 J_REF = 2 * PI * 215.5  # rad/s, the coupling used throughout the experiments
-
-# `phase_walk`'s codes of the cycle's pi pulses: 3 for ±x (a -> conj(a)), 7 for ±y (a -> -conj(a))
-_CYCLE_CODES = np.array([7 if "y" in axis else 3 for axis in AXIS_CYCLE], dtype=np.int8)
 
 
 def random_pure_density(rng, dim=2):
@@ -69,57 +65,3 @@ def window_schedule(case, eps0, eps1, spacing, j, pairs):
     events.sort(key=lambda ev: ev.time)
     return PulseSchedule(CouplingSystem(j), tuple(events), count * spacing)
 
-
-def phase_walk(j: float, toggles: np.ndarray, pulses: np.ndarray, snapshots: np.ndarray) -> np.ndarray:
-    """Qubit-1 transverse amplitudes of a chunk of trials, one trial a row.
-
-    Each trial starts like the schedules of `simulate_amplitudes`: both
-    qubits in |0> and a y pi/2 pulse at t = 0 set ``a = a_x + i a_y`` to 1.
-    Three kinds of event follow, given as (trials x events) arrays of times:
-
-    * ``toggles``: pi pulses on qubit 2, which reverse the sign ``s``;
-    * ``pulses``: pi pulses on qubit 1, column k about ``AXIS_CYCLE[k % 8]``,
-      ``a -> eps * conj(a)`` with ``eps`` 1 for ±x and -1 for ±y;
-    * ``snapshots``: positive times, ascending in each row, at which ``a``
-      is recorded; returned as a (trials x snapshots) array.
-
-    Events after a row's last snapshot change nothing, so they can pad
-    rows to a common length.
-
-    Free evolution for ``tau`` multiplies ``a`` by ``exp(i s J tau / 2)``,
-    with ``s = +1`` while qubit 2 sits in |0>.  So
-    ``a = E exp(i sigma J psi / 2)``, where ``psi`` is the time integral of
-    a sign that every toggle and every pulse reverses (the switching
-    function), ``sigma`` is -1 after an odd number of pulses and ``E`` is
-    the product of their ``eps``: all three are cumulative along the
-    merged, time-ordered events of each row.  Events at one instant run in
-    the order snapshot, toggle, pulse, as in `simulate_amplitudes`, which
-    is the exact oracle for this walk.
-    """
-    n, n_snap = snapshots.shape
-    times = np.concatenate((snapshots, toggles, pulses), axis=1)
-    # per column, bit 0: reverses the rate sign; bit 1: a pulse; bit 2: eps = -1
-    codes = np.concatenate((
-        np.zeros(n_snap, dtype=np.int8),
-        np.ones(toggles.shape[1], dtype=np.int8),
-        _CYCLE_CODES.take(np.arange(pulses.shape[1]) % len(AXIS_CYCLE)),
-    ))
-    # a stable sort keeps the column order (snapshot, toggle, pulse) on ties
-    codes = codes[np.argsort(times, axis=1, kind="stable")]
-    times.sort(axis=1)
-    # parity bits of the events up to and including each one
-    parity = np.bitwise_xor.accumulate(codes, axis=1)
-    # interval lengths along the flattened rows; each row's first runs from t = 0
-    psi = np.empty_like(times)
-    np.subtract(times.ravel()[1:], times.ravel()[:-1], out=psi.ravel()[1:])
-    psi[:, 0] = times[:, 0]
-    del times   # keeps the (trials x events) temporaries to two at a time
-    # each interval has the rate sign left by the events before its end
-    psi *= 1 - 2 * ((parity ^ codes) & 1)
-    np.cumsum(psi, axis=1, out=psi)
-    at = np.flatnonzero(codes == 0)
-    psi = psi.ravel()[at].reshape(n, n_snap)
-    parity = parity.ravel()[at].reshape(n, n_snap)
-    sigma = 1 - (parity & 2)
-    eps = 1 - ((parity & 4) >> 1)
-    return eps * np.exp(0.5j * j * (sigma * psi))

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -600,6 +601,18 @@ def test_coarse_spacing_warning_is_one_line(tmp_path, capsys, spreads):
     assert capsys.readouterr().err.splitlines() == [COARSE_SPACING]
 
 
+def test_a_train_ending_inside_the_noise_window_warns_once(tmp_path, capsys):
+    """100,000 pulses 40 ns apart end 4 ms after noise_start, before a window
+    of up to one coupling period (4.64 ms) can close: the run goes on, and
+    says that its summary's law does not apply."""
+    doc = _sample("transmission_pulsed.json")
+    doc["params"].update(pulses_per_trial=100_000, pulse_spacing=4e-8)
+    assert main([write_json(tmp_path / "c.json", doc), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: train of 100000 pulses ends before the noise window can close; the closed-form "
+        "retention factor does not apply (at params.pulses_per_trial)"]
+
+
 def test_config_error_after_a_warning_is_the_only_line(tmp_path, capsys):
     """Warnings wait until every config is built, so a later spread's
     refusal still prints exactly one line and writes nothing."""
@@ -658,6 +671,28 @@ def test_channel_demo_probability_out_of_range_is_a_config_error(tmp_path, capsy
 def test_verify_parameter_errors_are_config_errors(tmp_path, capsys, key, value):
     doc = {"experiment": "verify", "params": {key: value}}
     _config_error(tmp_path, capsys, doc, f"(at params.{key})")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("t", 1e308), ("t", -1e308), ("j_hz", 1e300), ("j_hz", 1e308), ("omega_2_hz", 1e300),
+])
+def test_verify_refuses_parameters_that_overflow_its_check(tmp_path, capsys, key, value):
+    """These wrote NaN or inf residuals and exited 2, as a failed check."""
+    doc = {"experiment": "verify", "params": {key: value}}
+    _config_error(tmp_path, capsys, doc, f"(at params.{key})")
+
+
+def test_verify_at_its_largest_parameters_writes_finite_residuals(tmp_path):
+    """Both frequencies at the limit, and the largest t whose phase stays
+    finite there: a failed check, but every number in the report is finite."""
+    hz = (1 - 1e-12) * cli._MAX_FRAME_RATE / cli.TWO_PI
+    t = 0.99 * sys.float_info.max / cli._MAX_FRAME_RATE
+    doc = {"experiment": "verify", "params": {"omega_2_hz": hz, "j_hz": hz, "t": t}}
+    out = tmp_path / "verify"
+    assert main([write_json(tmp_path / "c.json", doc), "--out", str(out)]) == 2
+    report = (out / "report.txt").read_text()
+    assert "CHECKS FAILED" in report
+    assert not re.search(r"\b(nan|inf)\b", report, re.IGNORECASE)
 
 
 def test_verify_report_passes(tmp_path):

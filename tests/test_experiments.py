@@ -39,6 +39,7 @@ from dephasim import (
 from dephasim import experiments
 from dephasim.experiments import (
     FIT_FLOOR,
+    FieldWarning,
     MAX_TRIAL_EVENTS,
     MAX_TRIALS,
     _STREAM_BLOCK,
@@ -46,10 +47,11 @@ from dephasim.experiments import (
     _next_doubles,
     _stream_generator,
     _toggle_times,
+    _trial_schedule,
     _trial_streams,
 )
 
-from helpers import J_REF, phase_walk, rho_00, window_schedule
+from helpers import J_REF, rho_00, window_schedule
 
 PI = np.pi
 
@@ -211,12 +213,26 @@ def test_pulse_count():
     cfg = base_transmission(total_time=9e-3, bang_bang=True, pulse_spacing=0.3e-3)
     # ceil((4.640 ms + 0.3 ms) / 0.3 ms) = 17, rounded up to a cycle multiple
     assert cfg.pulse_count() == 24
-    explicit = base_transmission(total_time=9e-3, bang_bang=True, pulse_spacing=0.3e-3,
-                                 pulses_per_trial=16)
+    with pytest.warns(FieldWarning, match="16 pulses ends before"):
+        explicit = base_transmission(total_time=9e-3, bang_bang=True, pulse_spacing=0.3e-3,
+                                     pulses_per_trial=16)
     assert explicit.pulse_count() == 16
     with pytest.raises(ValueError, match="pulses_per_trial"):
         base_transmission(total_time=9e-3, bang_bang=True, pulse_spacing=0.3e-3,
                           pulses_per_trial=0)
+
+
+@pytest.mark.parametrize("pulses, warns", [(16, True), (17, False), (None, False)])
+def test_a_train_ending_inside_the_noise_window_warns(pulses, warns):
+    """16 pulses 0.3 ms apart end 4.5 ms after noise_start, inside a window
+    that may last one coupling period, 4.64 ms; 17 end at 4.8 ms, and the
+    default count, 24, spans it.  The warning names pulses_per_trial."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        base_transmission(total_time=9e-3, bang_bang=True, pulse_spacing=0.3e-3, pulses_per_trial=pulses)
+    assert [(type(w.message), w.message.field) for w in caught] == (
+        [(FieldWarning, "pulses_per_trial")] if warns else [])
+    assert all(w.filename == __file__ for w in caught)
 
 
 def test_transmission_schedule_layout():
@@ -697,46 +713,50 @@ def test_each_kernel_call_holds_at_most_the_entry_budget(budget, monkeypatch):
     assert all(trials * entries <= budget or trials == 1 for trials, entries in calls)
 
 
+def _oracle_rows(toggles, pulses, snapshots):
+    """`simulate_amplitudes` a trial at a time: each row's toggles, pulses
+    and ascending read times, in a schedule whose window ends at the row's
+    last event or read."""
+    return np.array([simulate_amplitudes(_trial_schedule(J_REF, row, train, max(reads[-1], *row, *train)), reads)
+                     for row, train, reads in zip(toggles, pulses, snapshots)])
+
+
 @pytest.mark.parametrize("spread", [0.0, 0.25])
-def test_toggle_walk_gives_phase_walk_bytes_on_plain_memory_flips(spread):
-    """Flips as a plain memory run draws them, read at flips 2 k - 1: the
-    same bytes as `phase_walk` with snapshots there, in the same C order.
-    Seed 1's trials 1040-1072 hold trial 1072, which skips its eleventh draw
-    at spread 0.25."""
+def test_toggle_walk_meets_the_oracle_on_plain_memory_flips(spread):
+    """Flips as a plain memory run draws them, read at flips 2 k - 1: within
+    1e-12 of the oracle, trial by trial.  Seed 1's trials 1040-1072 hold
+    trial 1072, which skips its eleventh draw at spread 0.25."""
     rng, state = _stream_generator()
     words = _trial_streams(1, 1040, 1073).T.reshape(-1, 2, 2)
     flips = _toggle_times(rng, state, words, 64, 2e-3, spread, 50)
     at = np.arange(1, 26) * 2 - 1
     walked = toggle_walk(J_REF, flips, at)
-    merged = phase_walk(J_REF, flips, np.empty((len(flips), 0)), flips[:, at])
-    assert walked.flags.c_contiguous
-    assert walked.tobytes() == merged.tobytes()
+    assert np.max(np.abs(walked - _oracle_rows(flips, [()] * len(flips), flips[:, at]))) < 1e-12
 
 
-def test_toggle_walk_gives_phase_walk_bytes_on_transmission_rows():
+def test_toggle_walk_meets_the_oracle_on_transmission_rows():
     """Free transmission rows, toggles at noise_start and its end and the
-    read at total_time: the same bytes as `phase_walk`, also where the
-    second toggle lies on total_time or past it inside the config's 1e-12
-    slack, which the clamp keeps from counting."""
+    read at total_time: within 1e-12 of the oracle, also where the second
+    toggle lies on total_time or past it inside the config's 1e-12 slack.
+    The walk takes that toggle clamped onto total_time and the oracle where
+    it lies, so the clamp must keep it from counting."""
     start, total = 1e-3, 1e-3 + 2 * PI / J_REF
     ends = start + (0.0 + (2 * PI / J_REF) * _next_doubles(_trial_streams(7, 0, 1000)))
     ends = np.concatenate((ends, [start, np.nextafter(total, 0.0), total, total + 1e-13]))
-    starts, totals = np.full(len(ends), start), np.full(len(ends), total)
-    walked = toggle_walk(J_REF, np.stack((starts, np.minimum(ends, total), totals), axis=1), (2,))
-    merged = phase_walk(J_REF, np.stack((starts, ends), axis=1), np.empty((len(ends), 0)), totals[:, None])
-    assert walked.flags.c_contiguous
-    assert walked.tobytes() == merged.tobytes()
+    starts, totals = np.full(len(ends), start), np.full((len(ends), 1), total)
+    walked = toggle_walk(J_REF, np.stack((starts, np.minimum(ends, total), totals[:, 0]), axis=1), (2,))
+    expected = _oracle_rows(np.stack((starts, ends), axis=1), [()] * len(ends), totals)
+    assert np.max(np.abs(walked - expected)) < 1e-12
 
 
 @pytest.mark.parametrize("random_phase", [False, True])
-def test_train_walk_agrees_with_phase_walk_on_transmission_rows(random_phase):
+def test_train_walk_meets_the_oracle_on_transmission_rows(random_phase):
     """Pulsed transmission rows as a run draws them, in the shape of
     transmission_pulsed.json, also where the second toggle lies on
     noise_start, just before total_time, on it or past it inside the
     config's 1e-12 slack: `train_walk` on the clamped toggles, the shared
-    train and its shifts against `phase_walk` on the unclamped toggles and
-    each trial's own train.  A locked train gives the same bytes; a random
-    phase rounds the pulse times at another step, so it agrees to 1e-14."""
+    train and its shifts, within 1e-12 of the oracle on the unclamped
+    toggles and each trial's own train."""
     config = TransmissionConfig(j=J_REF, total_time=8.5e-3, noise_start=1e-3, trials=1, seed=1,
                                 bang_bang=True, pulse_spacing=0.3e-3, random_train_phase=random_phase)
     start, total, spacing = config.noise_start, config.total_time, config.pulse_spacing
@@ -744,36 +764,54 @@ def test_train_walk_agrees_with_phase_walk_on_transmission_rows(random_phase):
     ends = start + (0.0 + (2 * PI / J_REF) * _next_doubles(streams))
     ends[-4:] = start, np.nextafter(total, 0.0), total, total + 1e-13
     shift = 0.0 + spacing * _next_doubles(streams) if random_phase else 0.0
-    steps = np.arange(config.pulse_count()) * spacing
-    train = start + steps
-    walked = train_walk(J_REF, np.stack((np.full(len(ends), start), np.minimum(ends, total)), axis=1),
+    train = start + np.arange(config.pulse_count()) * spacing
+    starts = np.full(len(ends), start)
+    walked = train_walk(J_REF, np.stack((starts, np.minimum(ends, total)), axis=1),
                         PulseTrain(train), np.array([total]), shift)
-    pulses = start + np.reshape(shift, (-1, 1)) + steps
-    merged = phase_walk(J_REF, np.stack((np.full(len(ends), start), ends), axis=1),
-                        np.broadcast_to(pulses, (len(ends), len(steps))), np.full((len(ends), 1), total))
-    if random_phase:
-        assert np.max(np.abs(walked - merged)) < 1e-14
-    else:
-        assert walked.tobytes() == merged.tobytes()
+    pulses = np.broadcast_to(train + np.reshape(shift, (-1, 1)), (len(ends), len(train)))
+    expected = _oracle_rows(np.stack((starts, ends), axis=1), pulses, np.full((len(ends), 1), total))
+    assert np.max(np.abs(walked - expected)) < 1e-12
 
 
-@pytest.mark.parametrize("mean, horizon, trials", [(2e-3, 60e-3, 300), (0.05, 24.7, 8)])
-def test_train_walk_agrees_with_phase_walk_on_pulsed_memory_rows(mean, horizon, trials):
+def _pulsed_memory_rows(mean, horizon, trials):
     """Toggles as a pulsed memory run draws them (seed 1, spread 0.25), rows
-    padded past the horizon with their first flip after it, under a 0.5 ms
-    train read on every 8th pulse: the shape of memory_pulsed.json (120
-    pulses, about 30 toggles) and a 49,400-pulse horizon with about 500."""
+    padded past the horizon with their first flip after it, and the 0.5 ms
+    train up to the horizon."""
     rng, state = _stream_generator()
     words = _trial_streams(1, 0, trials).T.reshape(-1, 2, 2)
     expected = math.ceil(1.5 * horizon / mean) + 1
     toggles = _toggle_times(rng, state, words, expected, mean, 0.25, None, horizon)
     assert (toggles[:, -1] > horizon).all() and (toggles[:, -1] == toggles[:, -2]).any()
-    train = experiments._memory_train(0.5e-3, horizon)
+    return toggles, experiments._memory_train(0.5e-3, horizon)
+
+
+def test_train_walk_meets_the_oracle_on_pulsed_memory_rows():
+    """300 trials in the shape of memory_pulsed.json, about 30 toggles under
+    a 120-pulse train read on every 8th pulse: within 1e-12 of the oracle,
+    trial by trial, the padding included."""
+    toggles, train = _pulsed_memory_rows(2e-3, 60e-3, 300)
     snapshots = train[7::8]
     walked = train_walk(J_REF, toggles, PulseTrain(train), snapshots)
-    merged = phase_walk(J_REF, toggles, np.broadcast_to(train, (trials, len(train))),
-                        np.broadcast_to(snapshots, (trials, len(snapshots))))
-    assert np.max(np.abs(walked - merged)) < 1e-14
+    expected = _oracle_rows(toggles, [train] * len(toggles), [snapshots] * len(toggles))
+    assert np.max(np.abs(walked - expected)) < 1e-12
+
+
+def test_train_walk_meets_toggle_walk_on_a_49400_pulse_train():
+    """8 trials of about 500 toggles under a 49,400-pulse train up to 24.7 s,
+    where the oracle takes a third of a second a trial.  Toggles and pulses
+    both reverse the switching function, so a row's toggles and pulses,
+    merged in a stable sort, are one row of `toggle_walk`; read there at
+    pulse 8 j + 7, after seven pulses of a cycle, sigma is -1 and E is -1
+    (three y pulses), so ``a = -conj(toggle_walk)``, to 1e-14."""
+    toggles, train = _pulsed_memory_rows(0.05, 24.7, 8)
+    walked = train_walk(J_REF, toggles, PulseTrain(train), train[7::8])
+    merged = np.concatenate((toggles, np.broadcast_to(train, (len(toggles), len(train)))), axis=1)
+    order = np.argsort(merged, axis=1, kind="stable")
+    merged = np.take_along_axis(merged, order, axis=1)
+    # where each read pulse's column sorted to, a row at a time
+    reads = np.argsort(order, axis=1)[:, toggles.shape[1] + np.arange(7, len(train), 8)]
+    expected = -np.conj([toggle_walk(J_REF, row[None], at)[0] for row, at in zip(merged, reads)])
+    assert np.max(np.abs(walked - expected)) < 1e-14
 
 
 def _recording_draws(monkeypatch, first=None):
@@ -918,7 +956,8 @@ def test_transmission_at_the_event_limit_stays_small():
     """A train of MAX_TRIAL_EVENTS pulses is one row that all trials share,
     so the kernel's temporaries are a few train-long arrays, not a chunk of
     them."""
-    config = base_transmission(bang_bang=True, pulse_spacing=4e-8, pulses_per_trial=MAX_TRIAL_EVENTS)
+    with pytest.warns(FieldWarning, match="ends before the noise window"):
+        config = base_transmission(bang_bang=True, pulse_spacing=4e-8, pulses_per_trial=MAX_TRIAL_EVENTS)
     tracemalloc.start()
     try:
         run_transmission(config)
