@@ -78,6 +78,7 @@ from .experiments import (
     four_case_phase,
     interval_noise_retention,
     memory_trial_schedule,
+    prediction,
     run_memory,
     run_transmission,
     transmission_schedule,

@@ -385,15 +385,7 @@ def _run_transmission(config: experiments.TransmissionConfig, out: Path) -> None
                range(len(groups)), groups.real, groups.imag, magnitudes)
 
     magnitude = abs(result.grand_average)
-    if not config.bang_bang:
-        predicted = 0.0
-        label = "complete dephasing"
-    elif config.random_train_phase:
-        predicted = experiments.bang_bang_retention(config.j, config.pulse_spacing)
-        label = "squared-sinc retention (random train phase)"
-    else:
-        predicted = experiments.bang_bang_retention_fixed_start(config.j, config.pulse_spacing)
-        label = "sinc retention (train locked to window start)"
+    label, predicted, _ = experiments.prediction(config)
 
     lines = [
         "transmission experiment",
@@ -422,15 +414,7 @@ def _run_memory(configs: list[experiments.MemoryConfig], out: Path) -> None:
         else:
             _write_csv(path, "time_s,magnitude,fit_magnitude",
                        None, curve.times, curve.magnitudes, curve.fit.magnitude(curve.times))
-        n_cycles = config.cycle_counts()[-1]
-        if config.bang_bang:
-            t2_pred = experiments.bang_bang_dephasing_time(
-                config.j, config.pulse_spacing, config.mean_interval)
-            retention = experiments.bang_bang_retention(config.j, config.pulse_spacing)
-        else:
-            t2_pred = experiments.dephasing_time(config.j, spread, config.mean_interval)
-            retention = experiments.interval_noise_retention(config.j, config.mean_interval, spread)
-        final_pred = retention**n_cycles
+        _, final_pred, t2_pred = experiments.prediction(config)
         contrast = (   # rounded first, so a negative contrast that rounds to zero prints 0.000, not -0.000
             f"{round(experiments.decay_contrast(float(curve.magnitudes[-1]), 1.0, spread), 3) + 0.0:9.3f}"
             if spread > 0 else "      n/a"
@@ -439,7 +423,7 @@ def _run_memory(configs: list[experiments.MemoryConfig], out: Path) -> None:
             t2_sim, t2_dev, note = "n/a", "n/a", (f"  t2 not resolved: fewer than 3 magnitudes "
                                                   f"above {_fmt(experiments.FIT_FLOOR)}")
         else:
-            t2 = curve.fit.t2 if curve.fit.decaying else math.inf
+            t2 = curve.fit.t2
             t2_sim, note = f"{t2:.6g}", ""
             t2_dev = _pct(t2, t2_pred) if math.isfinite(t2_pred) and math.isfinite(t2) else "n/a"
         rows.append(
@@ -495,14 +479,13 @@ def _frame_check(params: dict) -> pulse.FrameCheck:
     values = {"omega_2_hz": 500.0, "j_hz": 215.5, "t": 1e-3} | _options(params, _VERIFY_OPTIONS, loc)
     omega_2 = TWO_PI * _positive(values["omega_2_hz"], "omega_2_hz", loc)
     j = TWO_PI * _positive(values["j_hz"], "j_hz", loc)
-    # the check's norms square the Hamiltonian's entries, and R(t) winds by
-    # omega_2 (t + dt) / 2: refuse what would overflow into inf or NaN residuals
+    # the check's norms square the Hamiltonian's entries: refuse what overflows into inf or NaN residuals
     for key, rate in (("omega_2_hz", omega_2), ("j_hz", j)):
         if not rate <= _MAX_FRAME_RATE:
             raise ConfigError(f"{key} is too large: the check's norms would overflow", f"{loc}.{key}")
-    if not math.isfinite(0.5 * omega_2 * (abs(values["t"]) + max(pulse.FRAME_CHECK_STEPS))):
-        raise ConfigError("t is too large: the frame's phase omega_2 * t / 2 would overflow", f"{loc}.t")
-    return pulse.rotating_frame_check(pulse.LabFrameParams(omega_2 / 4.0, omega_2, j), values["t"])
+    # R(t) repeats every 16 pi / omega_2 (omega_1 = omega_2 / 4); an ulp of t within it is below every step
+    t = math.fmod(values["t"], 16 * math.pi / omega_2)
+    return pulse.rotating_frame_check(pulse.LabFrameParams(omega_2 / 4.0, omega_2, j), t)
 
 
 def _run_verify(frame: pulse.FrameCheck, out: Path) -> int:
@@ -528,6 +511,8 @@ def _run_verify(frame: pulse.FrameCheck, out: Path) -> int:
     lines.append("")
     lines.append("verify: " + ("all checks passed" if passed else "CHECKS FAILED"))
     _report(out / "report.txt", lines)
+    if not passed:
+        print(f"runtime error: verify checks failed; see {out / 'report.txt'}", file=sys.stderr)
     return 0 if passed else 2
 
 

@@ -396,6 +396,23 @@ def bang_bang_dephasing_time(j: float, spacing: float, mean_interval: float) -> 
     return float(-2.0 * mean_interval / math.log(retention)) if retention < 1.0 else math.inf
 
 
+def prediction(config: TransmissionConfig | MemoryConfig) -> tuple[str, float, float | None]:
+    """The law a run is judged by: ``(label, its magnitude at the last read, memory t2 or None)``."""
+    j, spacing = config.j, config.pulse_spacing
+    if isinstance(config, TransmissionConfig):
+        if not config.bang_bang:
+            return "complete dephasing", 0.0, None
+        if config.random_train_phase:
+            return "squared-sinc retention (random train phase)", bang_bang_retention(j, spacing), None
+        return "sinc retention (train locked to window start)", bang_bang_retention_fixed_start(j, spacing), None
+    mean, spread, cycles = config.mean_interval, config.interval_spread, config.cycle_counts()[-1]
+    if config.bang_bang:
+        return ("squared-sinc retention per toggle cycle", bang_bang_retention(j, spacing) ** cycles,
+                bang_bang_dephasing_time(j, spacing, mean))
+    return ("interval-noise law, t2 = 8 / (j^2 spread^2 mean_interval)",
+            interval_noise_retention(j, mean, spread) ** cycles, dephasing_time(j, spread, mean))
+
+
 def decay_contrast(decay: float, reference: float, spread: float) -> float:
     """Spread-normalised log decay ratio ``-ln(decay / reference) / spread^2``.
 

@@ -37,6 +37,7 @@ from dephasim import (
     partial_trace_env,
     phase_flip,
     phase_shift,
+    prediction,
     pure_env_flip_channel,
     rotating_frame_check,
     rotation_pulse,
@@ -86,19 +87,16 @@ def test_criterion_2_free_transmission_dephases_completely():
 
 def test_criterion_3_pulse_train_retention_matches_both_sinc_laws():
     start = time.perf_counter()
-    fixed = run_transmission(TransmissionConfig(
+    fixed_config, random_config = (TransmissionConfig(
         j=J_REF, total_time=8.5e-3, noise_start=1e-3, trials=10_000, seed=1,
-        bang_bang=True, pulse_spacing=0.3e-3))
-    random_phase = run_transmission(TransmissionConfig(
-        j=J_REF, total_time=8.5e-3, noise_start=1e-3, trials=10_000, seed=1,
-        bang_bang=True, pulse_spacing=0.3e-3, random_train_phase=True))
-    mag_fixed = abs(fixed.grand_average)
-    mag_random = abs(random_phase.grand_average)
+        bang_bang=True, pulse_spacing=0.3e-3, random_train_phase=random) for random in (False, True))
+    mag_fixed = abs(run_transmission(fixed_config).grand_average)
+    mag_random = abs(run_transmission(random_config).grand_average)
     elapsed = time.perf_counter() - start
-    print(f"\ntrain locked to window: {mag_fixed:.5f} vs 0.99312 "
-          f"(sinc = {bang_bang_retention_fixed_start(J_REF, 0.3e-3):.5f})")
+    (fixed_law, fixed_pred, _), (random_law, random_pred, _) = map(prediction, (fixed_config, random_config))
+    print(f"\ntrain locked to window: {mag_fixed:.5f} vs 0.99312 ({fixed_law} = {fixed_pred:.5f})")
     print(f"randomly phased train:  {mag_random:.5f} vs 0.98629 "
-          f"(sinc^2 = {bang_bang_retention(J_REF, 0.3e-3):.5f}), {elapsed:.1f} s")
+          f"({random_law} = {random_pred:.5f}), {elapsed:.1f} s")
     assert abs(mag_fixed - 0.99312) < 0.005
     assert abs(mag_random - 0.98629) < 0.005
     assert elapsed < 0.1
@@ -134,11 +132,11 @@ def test_criterion_5_memory_decay_follows_the_interval_noise_law():
         config = MemoryConfig(
             j=J_REF, mean_interval=2e-3, interval_spread=spread,
             observation_times=times, trials=10_000, seed=1)
-        results[spread] = run_memory(config)
+        results[spread] = config, run_memory(config)
 
-    print("\nmemory decay,  N = 1e4 per spread:")
-    for spread, curve in results.items():
-        t2_pred = dephasing_time(J_REF, spread, 2e-3)
+    print(f"\nmemory decay,  N = 1e4 per spread, {prediction(config)[0]}:")
+    for spread, (config, curve) in results.items():
+        t2_pred = prediction(config)[2]
         t2_err = abs(curve.fit.t2 - t2_pred) / t2_pred
         contrast = decay_contrast(float(curve.magnitudes[-1]), 1.0, spread)
         print(f"  spread {spread:.2f}: t2 = {curve.fit.t2 * 1e3:7.3f} ms "
@@ -148,7 +146,7 @@ def test_criterion_5_memory_decay_follows_the_interval_noise_law():
         assert t2_err < 0.05
         assert abs(contrast - 45.84) < 2.0
 
-    final_025 = float(results[0.25].magnitudes[-1])
+    final_025 = float(results[0.25][1].magnitudes[-1])
     elapsed = time.perf_counter() - start
     print(f"  spread 0.25 magnitude at 100 ms: {final_025:.4f} "
           f"(target 0.057 +/- 0.006), {elapsed:.1f} s")
@@ -168,10 +166,10 @@ def test_criterion_6_pulse_train_slows_memory_decay_to_the_sinc_law():
             bang_bang=True, pulse_spacing=0.5e-3)
     curve = run_memory(config)
     final = float(curve.magnitudes[-1])
-    predicted = bang_bang_retention(J_REF, 0.5e-3) ** 15  # 15 flip cycles in 60 ms
     elapsed = time.perf_counter() - start
+    law, predicted, _ = prediction(config)   # 15 flip cycles in 60 ms
     print(f"\npulse-train memory: magnitude at 60 ms = {final:.4f} "
-          f"(target 0.562 +/- 0.02, closed form {predicted:.4f}), {elapsed:.1f} s")
+          f"(target 0.562 +/- 0.02, {law} {predicted:.4f}), {elapsed:.1f} s")
     assert abs(final - 0.562) < 0.02
     assert elapsed < 0.35
 

@@ -527,8 +527,10 @@ _CHANGES = [("drop", None), ("wrap", None)] + [("set", value) for value in (
 def _sample(name: str) -> dict:
     doc = copy.deepcopy(_SAMPLES[name])
     # one trial keeps each run short, and every memory magnitude at 1, so the
-    # decay fit always has its three points above FIT_FLOOR
-    doc["params"]["trials"] = 1
+    # decay fit always has its three points above FIT_FLOOR; channel-demo and
+    # verify take no trials
+    if "trials" in doc["params"]:
+        doc["params"]["trials"] = 1
     return doc
 
 
@@ -673,18 +675,30 @@ def test_verify_parameter_errors_are_config_errors(tmp_path, capsys, key, value)
     _config_error(tmp_path, capsys, doc, f"(at params.{key})")
 
 
-@pytest.mark.parametrize("key, value", [
-    ("t", 1e308), ("t", -1e308), ("j_hz", 1e300), ("j_hz", 1e308), ("omega_2_hz", 1e300),
-])
+@pytest.mark.parametrize("key, value", [("j_hz", 1e300), ("j_hz", 1e308), ("omega_2_hz", 1e300)])
 def test_verify_refuses_parameters_that_overflow_its_check(tmp_path, capsys, key, value):
     """These wrote NaN or inf residuals and exited 2, as a failed check."""
     doc = {"experiment": "verify", "params": {key: value}}
     _config_error(tmp_path, capsys, doc, f"(at params.{key})")
 
 
+@pytest.mark.parametrize("t", [1e12, 1e308, -1e308])
+def test_verify_checks_any_finite_time(tmp_path, capsys, t):
+    """The frame repeats every 16 pi / omega_2, so t is checked within one
+    period: at 1e12 an ulp of t (1.2e-4 s) was longer than every step, and
+    the residuals sat on their roundoff floor; 1e308 was refused."""
+    doc = {"experiment": "verify", "params": {"t": t}}
+    out = tmp_path / "verify"
+    assert main([write_json(tmp_path / "c.json", doc), "--out", str(out)]) == 0
+    report = (out / "report.txt").read_text()
+    assert "quadratic shrink ratios: 4.00, 4.00" in report and "all checks passed" in report
+    assert capsys.readouterr().err == ""
+
+
 def test_verify_at_its_largest_parameters_writes_finite_residuals(tmp_path):
-    """Both frequencies at the limit, and the largest t whose phase stays
-    finite there: a failed check, but every number in the report is finite."""
+    """Both frequencies at the limit, and a t near the largest float, which
+    the check takes within one period of the frame: a failed check, but every
+    number in the report is finite."""
     hz = (1 - 1e-12) * cli._MAX_FRAME_RATE / cli.TWO_PI
     t = 0.99 * sys.float_info.max / cli._MAX_FRAME_RATE
     doc = {"experiment": "verify", "params": {"omega_2_hz": hz, "j_hz": hz, "t": t}}
@@ -712,7 +726,8 @@ def test_verify_with_unresolvable_frequencies_fails_its_checks(tmp_path, capsys)
     report = (out / "report.txt").read_text()
     assert "quadratic shrink ratios: n/a, n/a (expect ~4)" in report
     assert "CHECKS FAILED" in report
-    assert "Traceback" not in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        f"runtime error: verify checks failed; see {out / 'report.txt'}"]
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from dephasim import (
     interval_noise_retention,
     memory_trial_schedule,
     partial_trace_env,
+    prediction,
     run_memory,
     run_transmission,
     simulate_amplitudes,
@@ -394,6 +395,40 @@ def test_memory_bang_bang_warns_when_spacing_is_coarse():
     assert record[0].filename == __file__
     # fine spacing stays quiet
     base_memory(bang_bang=True, pulse_spacing=0.4e-3)
+
+
+LOCKED_LAW = "sinc retention (train locked to window start)"
+PLAIN_LAW = "interval-noise law, t2 = 8 / (j^2 spread^2 mean_interval)"
+PULSED_LAW = "squared-sinc retention per toggle cycle"
+TRAIN = dict(total_time=9e-3, bang_bang=True, pulse_spacing=0.3e-3)
+
+
+@pytest.mark.parametrize("build, overrides, warns, expected", [
+    (base_transmission, {}, None, ("complete dephasing", 0.0, None)),
+    (base_transmission, TRAIN, None, (LOCKED_LAW, bang_bang_retention_fixed_start(J_REF, 0.3e-3), None)),
+    (base_transmission, {**TRAIN, "random_train_phase": True}, None,
+     ("squared-sinc retention (random train phase)", bang_bang_retention(J_REF, 0.3e-3), None)),
+    # the law does not hold for a train that ends inside the window, but it stays the one named
+    (base_transmission, {**TRAIN, "pulses_per_trial": 16}, "pulses_per_trial",
+     (LOCKED_LAW, bang_bang_retention_fixed_start(J_REF, 0.3e-3), None)),
+    (base_memory, {}, None,
+     (PLAIN_LAW, interval_noise_retention(J_REF, 2e-3, 0.25) ** 5, dephasing_time(J_REF, 0.25, 2e-3))),
+    (base_memory, {"interval_spread": 0.0}, None,
+     (PLAIN_LAW, interval_noise_retention(J_REF, 2e-3, 0.0) ** 5, math.inf)),
+    (base_memory, {"bang_bang": True, "pulse_spacing": 0.4e-3}, None,
+     (PULSED_LAW, bang_bang_retention(J_REF, 0.4e-3) ** 5, bang_bang_dephasing_time(J_REF, 0.4e-3, 2e-3))),
+    # j * pulse_spacing 2e-8: the squared sinc rounds to one
+    (base_memory, {"j": 200.0, "mean_interval": 1e-6, "observation_times": (2e-6, 4e-6, 6e-6),
+                   "bang_bang": True, "pulse_spacing": 1e-10}, None,
+     (PULSED_LAW, bang_bang_retention(200.0, 1e-10) ** 3, math.inf)),
+], ids=["free", "locked", "random_phase", "short_train", "plain_memory", "zero_spread", "pulsed_memory",
+        "retention_one"])
+def test_prediction_is_the_law_of_each_run_shape(build, overrides, warns, expected):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        config = build(**overrides)
+    assert [w.message.field for w in caught] == ([warns] if warns else [])
+    assert prediction(config) == expected
 
 
 def test_memory_trial_schedule_plain():
