@@ -19,10 +19,12 @@ and independent of execution order.
 from __future__ import annotations
 
 import ctypes
+import io
 import math
 import threading
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -711,7 +713,7 @@ def _next_doubles(streams: np.ndarray) -> np.ndarray:
 _THREAD = threading.local()
 
 
-def _stream_generator() -> tuple[np.random.Generator, np.ndarray]:
+def _stream_generator() -> tuple[np.random.Generator, memoryview, Callable[[np.ndarray], bytes]]:
     """This thread's `_new_stream_generator`, built on the thread's first call.
 
     Per thread, not per process: two runs writing their trials' words into
@@ -724,32 +726,31 @@ def _stream_generator() -> tuple[np.random.Generator, np.ndarray]:
     return _THREAD.stream_generator
 
 
-def _new_stream_generator() -> tuple[np.random.Generator, np.ndarray]:
-    """A PCG64 generator and a writable ``(2, 2)`` view of its state words.
+def _new_stream_generator() -> tuple[np.random.Generator, memoryview, Callable[[np.ndarray], bytes]]:
+    """A PCG64 generator, a writable 32-byte view of its ``{state, inc}``, and
+    the layout that turns ``(4, rows)`` streams, as `_trial_streams` gives
+    them, into the bytes the view holds, 32 a trial.
 
-    ``bit_generator.ctypes.state_address`` points to numpy's ``pcg64_state``,
-    which starts with a pointer to the 128-bit ``{state, inc}``.  The view's
-    rows are the state and the increment, its columns their high and low
-    64-bit words.  A ``pcg128_t`` is a native 128-bit integer (low word first
-    on little-endian hosts) or a ``{high, low}`` struct, so the columns are
-    reversed when a probe state, set through numpy's own setter, reads back
-    low word first.  The setter also clears the buffered 32-bit half, which
-    ``standard_normal`` never uses, so writing a trial's words sets the whole
-    state.
+    ``bit_generator.ctypes.state_address`` points to numpy's ``pcg64_state``, which
+    starts with a pointer to the 128-bit ``{state, inc}``.  A ``pcg128_t`` is a native
+    128-bit integer (low word first on little-endian hosts) or a ``{high, low}`` struct,
+    so the layout reverses each pair of words when a probe state, set through numpy's own
+    setter, reads back low word first.  The setter also clears the buffered 32-bit half,
+    which ``standard_normal`` never uses, so copying a trial's 32 bytes sets the whole state.
     """
     rng = np.random.Generator(np.random.PCG64())
     address = ctypes.c_void_p.from_address(rng.bit_generator.ctypes.state_address).value
-    state = np.frombuffer((ctypes.c_uint64 * 4).from_address(address), dtype=np.uint64).reshape(2, 2)
+    view = memoryview((ctypes.c_char * 32).from_address(address)).cast("B")
     probe = [[0x5EED00A1, 0x5EED00B2], [0x5EED00C3, 0x5EED00D5]]
     rng.bit_generator.state = {
         "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
         "state": {"state": probe[0][0] << 64 | probe[0][1], "inc": probe[1][0] << 64 | probe[1][1]},
     }
-    if state.tolist() != probe:
-        state = state[:, ::-1]
-    if state.tolist() != probe:
-        raise RuntimeError(f"unrecognised PCG64 state layout {state.tolist()}")
-    return rng, state
+    words = np.frombuffer(view, np.uint64).reshape(2, 2)
+    for order in (slice(None), slice(None, None, -1)):
+        if words[:, order].tolist() == probe:
+            return rng, view, lambda streams: streams.T.reshape(-1, 2, 2)[..., order].tobytes()
+    raise RuntimeError(f"unrecognised PCG64 state layout {words.tolist()}")
 
 
 def _trial_chunks(seed: int, trials: int, events: int):
@@ -818,16 +819,16 @@ def run_transmission(config: TransmissionConfig) -> EnsembleResult:
     )
 
 
-def _toggle_times(rng, state: np.ndarray, words: np.ndarray, width: int, mean: float, spread: float,
+def _toggle_times(rng, state: memoryview, words: bytes, width: int, mean: float, spread: float,
                   count: int | None = None, horizon: float = math.inf) -> np.ndarray:
-    """Flip times of the trials whose generators start from ``words``, a row a
-    trial.
+    """Flip times of the trials whose generators start from ``words``, 32
+    bytes a trial.
 
     A trial's intervals are ``mean * (1 + spread * xi)`` for the standard
     normals ``xi`` of its stream, skipping non-positive values: ``count`` of
     them, or else enough for their running sum to pass ``horizon``.  A row
     holds their running sums, padded to the widest row with its last flip.
-    ``rng`` is set to each trial's stream by writing its words into
+    ``rng`` is set to each trial's stream by copying its bytes into
     ``state``, the view of `_stream_generator`, and draws ``width`` normals;
     if any row runs short, the whole chunk is drawn again twice as wide.  A
     block draw equals that many scalar draws, so these are the flips that
@@ -836,10 +837,10 @@ def _toggle_times(rng, state: np.ndarray, words: np.ndarray, width: int, mean: f
     0.25, where a value is non-positive only for ``xi <= -4``, about one
     draw in 30,000.
     """
-    values = np.empty((len(words), width))
-    normal = rng.standard_normal
-    for row, trial in zip(values, words):
-        state[:] = trial
+    values = np.empty((len(words) // 32, width))
+    normal, copy = rng.standard_normal, io.BytesIO(words).readinto   # copy: the next 32 bytes into a view
+    for row in values:
+        copy(state)
         normal(out=row)
     # mean * (1 + spread * xi) in the scalar form's order, so values match it bit for bit
     values *= spread
@@ -859,13 +860,23 @@ def _toggle_times(rng, state: np.ndarray, words: np.ndarray, width: int, mean: f
         # rows never decrease, so each row needs its flips up to its first past
         # the horizon, argmax's index; a row with none has argmax 0 and fails the check
         need = np.argmax(flips > horizon, axis=1) + 1
-        last = flips[np.arange(len(words)), need - 1]
+        last = flips[np.arange(len(flips)), need - 1]
         if (last > horizon).all() and np.isfinite(last).all():
             # each row's flips up to that one, then that one; clamped in place on
             # a contiguous copy, where numpy buffers less than on a slice
             flips = flips[:, :need.max()].copy()
             return np.minimum(flips, last[:, None], out=flips)
     return _toggle_times(rng, state, words, 2 * width, mean, spread, count, horizon)
+
+
+def _pulsed_width(horizon: float, mean: float, spread: float) -> int:
+    """Normals a pulsed memory trial draws: the ``n = horizon / mean`` flips the horizon
+    needs on average, six standard deviations of their count more, and one.  A row runs
+    short (its chunk is drawn again) with odds ``Phi(-(width - n) / (spread sqrt(width)))``:
+    1.3e-10 at memory_pulsed.json's n = 30, at most 2.6e-9 at the even n >= 6 `MemoryConfig`
+    allows, 7.7e-9 at n = 4.  At spread 0.25 and n < 9 the width exceeds ``1.5 n``."""
+    n = horizon / mean
+    return math.ceil(n + 6.0 * spread * math.sqrt(n)) + 1
 
 
 def run_memory(config: MemoryConfig) -> DecayCurve:
@@ -875,8 +886,9 @@ def run_memory(config: MemoryConfig) -> DecayCurve:
     the cycles it spans), so `toggle_walk` takes the flips alone.  With it
     every trial shares the train and the observation times, so
     `train_walk` takes the flips and those two rows.  A trial draws its flip
-    count and one normal more, or the flips the train's horizon is expected to
-    need; the amplitudes are summed in trial order, whatever the chunking.
+    count and one normal more, or the flips the train's horizon needs with a
+    six-sigma tail (`_pulsed_width`); the amplitudes are summed in trial
+    order, whatever the chunking.
     """
     times = np.asarray(config.observation_times, dtype=float)
     horizon = times[-1]
@@ -884,11 +896,10 @@ def run_memory(config: MemoryConfig) -> DecayCurve:
     # this thread's generator, set to trial k's stream by writing k's words before
     # k's draws; a process's first one imports numpy.random, the run's memory peak,
     # so it is built before the train
-    rng, state = _stream_generator()
+    rng, state, layout = _stream_generator()
     if config.bang_bang:
         train = PulseTrain(_memory_train(config.pulse_spacing, horizon))
-        # the flips before the horizon, with room for their count's spread
-        width = math.ceil(1.5 * horizon / config.mean_interval) + 1
+        width = _pulsed_width(horizon, config.mean_interval, config.interval_spread)
         # expected toggles and snapshots a trial; the train is one row all trials share
         entries = width + len(times)
     else:
@@ -898,9 +909,8 @@ def run_memory(config: MemoryConfig) -> DecayCurve:
     acc = np.zeros((1, len(times)), dtype=complex)
     # a draw chunk is a kernel chunk
     for first, streams in _trial_chunks(config.seed, config.trials, entries):
-        words = streams.T.reshape(-1, 2, 2)   # laid out like the view of `_stream_generator`
         # with the pulse train, a row's padding lies past the horizon
-        toggles = _toggle_times(rng, state, words, width, config.mean_interval,
+        toggles = _toggle_times(rng, state, layout(streams), width, config.mean_interval,
                                 config.interval_spread, count, horizon)
         if config.bang_bang:
             amps = train_walk(config.j, toggles, train, times)

@@ -419,30 +419,39 @@ def rotating_frame_residual(params: LabFrameParams, t: float, dt: float) -> floa
     return float(np.linalg.norm(transformed - target))
 
 
-# Finite-difference steps of the rotating-frame check: two halvings, then a small step.
+# Finite-difference steps of the rotating-frame check, in s, at omega_2 = 2 pi * 500 rad/s:
+# two halvings, then a small step.
 FRAME_CHECK_STEPS = (1e-6, 5e-7, 2.5e-7, 1e-7)
+# the omega_2, rad/s, below which the steps stop growing: they scale as 1 / omega_2,
+# and under about 1.8e-305 rad/s a step overflows into NaN residuals
+_MIN_FRAME_RATE = 1e-300
 
 
 @dataclass(frozen=True)
 class FrameCheck:
     """Outcome of ``rotating_frame_check``."""
 
-    residuals: tuple[float, ...]   # one per step of FRAME_CHECK_STEPS
+    steps: tuple[float, ...]       # the finite-difference steps, s
+    residuals: tuple[float, ...]   # one per step
     ratios: tuple[float, ...]      # residual shrink per halving; NaN where a residual is 0
     bound: float                   # 1e-3 * |H|, the limit on the last residual
     passed: bool
 
 
 def rotating_frame_check(params: LabFrameParams, t: float) -> FrameCheck:
-    """``rotating_frame_residual`` at the steps of ``FRAME_CHECK_STEPS``, judged.
+    """``rotating_frame_residual`` at the steps of ``FRAME_CHECK_STEPS``,
+    scaled by ``2 pi * 500 / abs(omega_2)`` so that they turn R(t) by the same
+    angles at any ``omega_2``, judged.
 
-    Passes when each halving of the step shrinks the residual by a factor
-    between 3 and 5 (4 for an O(dt^2) scheme) and the residual at the
-    smallest step is below ``1e-3 * |H|``.
+    Passes when each of the two halvings of the step shrinks the residual
+    by a factor between 3 and 5 (4 for an O(dt^2) scheme) and the residual
+    at the last step is below ``1e-3 * |H|``.
     """
-    residuals = tuple(rotating_frame_residual(params, t, dt) for dt in FRAME_CHECK_STEPS)
+    scale = 2.0 * math.pi * 500.0 / max(abs(params.omega_2), _MIN_FRAME_RATE)   # exactly 1 at 500 Hz
+    steps = tuple(dt * scale for dt in FRAME_CHECK_STEPS)
+    residuals = tuple(rotating_frame_residual(params, t, dt) for dt in steps)
     # a residual of 0 (frequencies too small to resolve) leaves no ratio
     ratios = tuple(a / b if b else math.nan for a, b in zip(residuals[:2], residuals[1:3]))
     bound = 1e-3 * float(np.linalg.norm(lab_frame_hamiltonian(params)))
     passed = residuals[-1] < bound and all(3.0 < r < 5.0 for r in ratios)
-    return FrameCheck(residuals, ratios, bound, passed)
+    return FrameCheck(steps, residuals, ratios, bound, passed)

@@ -20,6 +20,7 @@ from dephasim import (
     mat_equal,
     partial_trace_env,
     phase_shift,
+    rotating_frame_check,
     rotating_frame_residual,
     rotation_pulse,
     simulate_amplitudes,
@@ -32,6 +33,7 @@ from dephasim import (
 )
 
 from dephasim.experiments import MAX_TRIAL_EVENTS, _memory_train, _trial_schedule
+from dephasim.pulse import FRAME_CHECK_STEPS
 
 from helpers import J_REF, random_density, rho_00
 
@@ -298,7 +300,7 @@ def toggle_chunks(draw):
     return np.array(times), at
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(toggle_chunks())
 def test_toggle_walk_matches_simulate_amplitudes(chunk):
     """The toggle-only walk against the state-vector oracle, trial by trial,
@@ -363,7 +365,7 @@ def train_chunks(draw):
     return np.array(toggles).reshape(rows, n_toggles + n_pad), train, snapshots, shift
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(train_chunks())
 # the read at 1.1e-3 + 5e-19, less the shift, rounds onto the pulse at 1e-3, though the shifted pulse is an ulp before it
 @example((np.empty((1, 0)), np.array([1e-3]), np.array([0.0011000000000000005]), np.array([0.00010000000000000037])))
@@ -429,7 +431,7 @@ def indexed_trains(draw):
     return times, kind in ("memory", "transmission"), shift
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(indexed_trains())
 # memory_pulsed.json's train, 120 pulses up to 60 ms, and 1,200 at 50 us, whose last rounds past the horizon
 @example((_memory_train(0.5e-3, 60e-3), True, 0.0))
@@ -496,3 +498,15 @@ def test_rotating_frame_residual_edge_cases():
     free = LabFrameParams(omega_1=2 * PI * 125.0, omega_2=2 * PI * 500.0, j=1e-30)
     h_norm = np.linalg.norm(lab_frame_hamiltonian(free))
     assert rotating_frame_residual(free, 1e-3, 1e-7) < 1e-6 * h_norm
+
+
+@pytest.mark.parametrize("hz", [500.0, 1e6, 5e8])
+def test_rotating_frame_check_scales_its_steps_with_omega_2(hz):
+    """The check's steps are ``FRAME_CHECK_STEPS`` at 500 Hz, bit for bit,
+    and shrink as 1 / omega_2, so a library caller at NMR frequencies gets a
+    resolved, passing check at the frame's phase of 1 ms at 500 Hz."""
+    omega_2 = 2 * PI * hz
+    check = rotating_frame_check(LabFrameParams(omega_2 / 4, omega_2, J_REF), 1e-3 * 500.0 / hz)
+    assert check.steps == pytest.approx([dt * 500.0 / hz for dt in FRAME_CHECK_STEPS], rel=1e-12)
+    assert check.steps == FRAME_CHECK_STEPS or hz != 500.0
+    assert check.passed
