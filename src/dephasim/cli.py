@@ -133,6 +133,11 @@ _VERIFY_OPTIONS = {"omega_2_hz": float, "j_hz": float, "t": float}
 # entries stay under about 1.2 times the larger, and four of their squares
 # must sum below the largest float
 _MAX_FRAME_RATE = math.sqrt(sys.float_info.max) / 16
+# the frame's residual per rad/s of omega_2 at the third step, the smallest a shrink ratio
+# reads: sqrt(2 sum (a - sin(a dt) / dt)^2) over R(t)'s rates a = (5/8, 3/8) omega_2, to
+# leading order, at the angle omega_2 dt that the scaled steps fix; about 3.63e-8
+_FRAME_RESIDUAL = ((TWO_PI * 500.0 * pulse.FRAME_CHECK_STEPS[2]) ** 2 / 6
+                   * math.sqrt(2 * ((5 / 8) ** 6 + (3 / 8) ** 6)))
 
 # the keys of the config document and those each experiment reads from
 # params; any other key is refused
@@ -483,6 +488,13 @@ def _frame_check(params: dict) -> pulse.FrameCheck:
     for key, rate in (("omega_2_hz", omega_2), ("j_hz", j)):
         if not rate <= _MAX_FRAME_RATE:
             raise ConfigError(f"{key} is too large: the check's norms would overflow", f"{loc}.{key}")
+    # roundoff adds up to about 2 eps |H| to each residual (at most 1.86 over 3,000 random j,
+    # omega_2 and t), and a ratio of 4 stays inside (3, 5) only while its smaller residual
+    # exceeds 6 times that; below _MIN_FRAME_RATE the steps stop scaling and no j is resolved
+    norm = math.hypot(math.sqrt(17.0) / 4.0 * omega_2, j / 2.0)   # |H| at omega_1 = omega_2 / 4
+    if omega_2 >= pulse._MIN_FRAME_RATE and _FRAME_RESIDUAL * omega_2 <= 12.0 * sys.float_info.epsilon * norm:
+        raise ConfigError("j_hz is too large against omega_2_hz: roundoff of the coupling term "
+                          "would hide the frame's residual", f"{loc}.j_hz")
     # R(t) repeats every 16 pi / omega_2 (omega_1 = omega_2 / 4); an ulp of t within it is below every step
     t = math.fmod(values["t"], 16 * math.pi / omega_2)
     return pulse.rotating_frame_check(pulse.LabFrameParams(omega_2 / 4.0, omega_2, j), t)

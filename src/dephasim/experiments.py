@@ -753,16 +753,24 @@ def _new_stream_generator() -> tuple[np.random.Generator, memoryview, Callable[[
     raise RuntimeError(f"unrecognised PCG64 state layout {words.tolist()}")
 
 
-def _trial_chunks(seed: int, trials: int, events: int):
+def _stream_blocks(seed: int, trials: int):
     """The PCG64 streams of ``default_rng((seed, k))``, as `_trial_streams`
-    gives them, a kernel call of trials of ``events`` events at a time: yields
-    each chunk's first trial and a ``(4, rows)`` view of its streams.  A chunk
-    holds fewer rows only where a stream block or the run ends."""
-    rows = max(1, _CHUNK_EVENTS // events)
+    gives them, a `_STREAM_BLOCK` of trials at a time: yields each block's
+    first trial and its ``(4, rows)`` streams.  Holds no reference to a block
+    once it is yielded, so a caller that drops it before asking for the next
+    frees it before the next derivation."""
     for block in _blocks(trials, _STREAM_BLOCK):
-        streams = _trial_streams(seed, block.start, block.stop)
-        for chunk in _blocks(len(block), rows):
-            yield block.start + chunk.start, streams[:, chunk.start:chunk.stop]
+        yield block.start, _trial_streams(seed, block.start, block.stop)
+
+
+def _trial_chunks(seed: int, trials: int, events: int):
+    """`_stream_blocks` cut into kernel calls of trials of ``events`` events:
+    yields each chunk's first trial and a ``(4, rows)`` view of its streams.
+    A chunk holds fewer rows only where a stream block or the run ends."""
+    rows = max(1, _CHUNK_EVENTS // events)
+    for first, streams in _stream_blocks(seed, trials):
+        for chunk in _blocks(streams.shape[1], rows):
+            yield first + chunk.start, streams[:, chunk.start:chunk.stop]
 
 
 # ---------------------------------------------------------------------------
@@ -788,27 +796,35 @@ def run_transmission(config: TransmissionConfig) -> EnsembleResult:
     does, ``low + (high - low) * rng.random()``.  Without a train the
     toggles and the read time are the only events, for `toggle_walk`; with
     one, every trial shares the train, each shifted by its offset, and
-    `train_walk` takes the toggles, the train and the read time.
+    `train_walk` takes the toggles, the train and the read time.  A stream
+    block is drawn once, and its kernel chunks walk slices of its rows.
     """
     if config.bang_bang:
         train = PulseTrain(config.noise_start + np.arange(config.pulse_count()) * config.pulse_spacing)
         read = np.array([config.total_time])
     amps = np.empty(config.trials, dtype=complex)
     # two toggles and a read a trial; the train is one row all trials share
-    for first, streams in _trial_chunks(config.seed, config.trials, 3):
-        rows = streams.shape[1]
-        # drawn before the chunk's arrays are built, which keeps the run's peak in `_trial_streams`
+    rows = max(1, _CHUNK_EVENTS // 3)
+    for first, streams in _stream_blocks(config.seed, config.trials):
+        # a trial's window, then its offset, as numpy draws them; the streams are
+        # freed before the block's time array is built
         ends = config.noise_start + (0.0 + (2 * PI / config.j) * _next_doubles(streams))
-        times = np.empty((rows, 3))
+        shift = 0.0 + config.pulse_spacing * _next_doubles(streams) if config.random_train_phase else 0.0
+        del streams
+        times = np.empty((len(ends), 3))
         times[:, 0] = config.noise_start
         # inside the config's 1e-12 slack the second toggle may pass the read, where it must not count
         np.minimum(ends, config.total_time, out=times[:, 1])
         times[:, 2] = config.total_time
-        if config.bang_bang:
-            shift = 0.0 + config.pulse_spacing * _next_doubles(streams) if config.random_train_phase else 0.0
-            amps[first:first + rows] = train_walk(config.j, times[:, :2], train, read, shift)[:, 0]
-        else:
-            amps[first:first + rows] = toggle_walk(config.j, times, (2,))[:, 0]
+        for chunk in _blocks(len(times), rows):
+            part = slice(chunk.start, chunk.stop)
+            offsets = shift[part] if config.random_train_phase else 0.0
+            amps[first + chunk.start:first + chunk.stop] = (
+                train_walk(config.j, times[part, :2], train, read, offsets) if config.bang_bang
+                else toggle_walk(config.j, times[part], (2,)))[:, 0]
+        # nothing of this block is held while the next is derived, so the run's
+        # peak is one block's derivation and the amplitudes
+        del ends, shift, times, offsets
     if config.remove_trivial_phase:
         amps *= np.exp(-0.5j * config.j * config.total_time)
     return EnsembleResult(

@@ -682,6 +682,26 @@ def test_verify_refuses_parameters_that_overflow_its_check(tmp_path, capsys, key
     _config_error(tmp_path, capsys, doc, f"(at params.{key})")
 
 
+@pytest.mark.parametrize("j_hz", [1e12, 1e152])
+def test_verify_refuses_a_coupling_whose_roundoff_hides_the_frame(tmp_path, capsys, j_hz):
+    """At the default omega_2_hz of 500 these exited 2, a failed check on
+    valid input: the residuals were 0.35 to 2.8 eps |H| at 1e12, for ratios
+    3.55 and 2.24, and pure roundoff at 1e152, ratios 1.00 and 1.00."""
+    doc = {"experiment": "verify", "params": {"j_hz": j_hz}}
+    _config_error(tmp_path, capsys, doc, "(at params.j_hz)")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("omega_2_hz, j_hz", [(500.0, 1e10), (500.0, 1.3e10), (5e8, 1e12)])
+def test_verify_judges_a_coupling_under_its_roundoff_limit(tmp_path, omega_2_hz, j_hz):
+    """The limit on j_hz scales with omega_2_hz, about 2.7e7 times it; under
+    it the ratios stand inside (3, 5) and the check passes."""
+    doc = {"experiment": "verify", "params": {"omega_2_hz": omega_2_hz, "j_hz": j_hz}}
+    out = tmp_path / "verify"
+    assert main([write_json(tmp_path / "c.json", doc), "--out", str(out)]) == 0
+    assert "all checks passed" in (out / "report.txt").read_text()
+
+
 @pytest.mark.parametrize("t", [1e12, 1e308, -1e308])
 def test_verify_checks_any_finite_time(tmp_path, capsys, t):
     """The frame repeats every 16 pi / omega_2, so t is checked within one

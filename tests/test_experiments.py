@@ -650,12 +650,26 @@ def _oracle_memory_magnitudes(config):
     return np.abs(acc / config.trials)
 
 
-def _default_rng_chunks(seed, trials, events):
-    """`_trial_chunks` read from ``default_rng((seed, k)).bit_generator.state``,
-    32 trials a chunk whatever the ``events``."""
-    for chunk in experiments._blocks(trials, 32):
-        words = np.array([_as_words(*_default_rng_stream(seed, k)) for k in chunk], dtype=np.uint64)
-        yield chunk.start, words.reshape(-1, 4).T
+def _default_rng_blocks(seed, trials):
+    """`_stream_blocks` read from ``default_rng((seed, k)).bit_generator.state``,
+    32 trials a block."""
+    for block in experiments._blocks(trials, 32):
+        words = np.array([_as_words(*_default_rng_stream(seed, k)) for k in block], dtype=np.uint64)
+        yield block.start, words.reshape(-1, 4).T
+
+
+def _on_numpy_streams(monkeypatch):
+    """Patch `_stream_blocks` onto `_default_rng_blocks`; returns the list of
+    trials it has given out, so a test can tell that a run reached it."""
+    given = []
+
+    def blocks(seed, trials):
+        for first, streams in _default_rng_blocks(seed, trials):
+            given.extend(range(first, first + streams.shape[1]))
+            yield first, streams
+
+    monkeypatch.setattr(experiments, "_stream_blocks", blocks)
+    return given
 
 
 def _as_words(state, inc):
@@ -680,8 +694,9 @@ def test_run_memory_matches_the_schedule_oracle(overrides, monkeypatch):
         config = base_memory(**overrides)
     curve = run_memory(config)
     assert np.max(np.abs(curve.magnitudes - _oracle_memory_magnitudes(config))) < 1e-12
-    monkeypatch.setattr(experiments, "_trial_chunks", _default_rng_chunks)
+    given = _on_numpy_streams(monkeypatch)
     assert np.array_equal(run_memory(config).magnitudes, curve.magnitudes)
+    assert given == list(range(config.trials))
 
 
 @pytest.mark.parametrize("overrides", [{}, {"bang_bang": True, "pulse_spacing": 0.5e-3}],
@@ -1016,6 +1031,25 @@ def test_a_chunk_drawn_again_leaves_the_next_chunk_at_the_run_width(monkeypatch)
     assert draws == [33] * 4 + [32, 64, 33]
 
 
+@pytest.mark.parametrize("shape", sorted(TRANSMISSION_SHAPES))
+def test_a_transmission_run_peaks_at_one_block_derivation(shape):
+    """20,000 trials, three stream blocks, peak under 1.2 MB of tracemalloc:
+    one block's derivation (about 0.723 MB, `_trial_streams`; a block's
+    draw peaks as high), plus the run's 20,000 complex amplitudes (0.32 MB),
+    plus, with a random train phase, the block's windows, held while its
+    offsets are drawn (8,192 doubles, 0.066 MB), is 1.109 MB.  A run that
+    held the previous block's streams, draws or time array through the next
+    derivation read 1.31 MB."""
+    config = base_transmission(trials=20_000, **TRANSMISSION_SHAPES[shape])
+    tracemalloc.start()
+    try:
+        run_transmission(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2e6
+
+
 def test_transmission_at_the_event_limit_stays_small():
     """A train of MAX_TRIAL_EVENTS pulses is one row that all trials share,
     so the kernel's temporaries are a few train-long arrays, not a chunk of
@@ -1046,10 +1080,14 @@ def test_memory_config_needs_three_observation_times():
 ])
 def test_run_transmission_matches_the_schedule_oracle(overrides, monkeypatch):
     """As for memory: within 1e-12 of the oracle, and bit for bit the run on
-    numpy's own per-trial draws."""
+    numpy's own per-trial streams, which it must have drawn every trial from.
+    numpy's own draws, walked as the run walks its rows, give the run's
+    amplitudes bit for bit, so the run's arithmetic on its draws is pinned
+    too, not only within the oracle's 1e-12."""
     config = base_transmission(**overrides)
     result = run_transmission(config)
     trivial = np.exp(-0.5j * J_REF * config.total_time) if config.remove_trivial_phase else 1.0
+    deltas, offsets = [], []
     for k, amp in enumerate(result.amplitudes):
         rng = np.random.default_rng((config.seed, k))
         delta = rng.uniform(0.0, 2 * PI / J_REF)
@@ -1057,8 +1095,20 @@ def test_run_transmission_matches_the_schedule_oracle(overrides, monkeypatch):
         schedule = transmission_schedule(config, delta, offset)
         expected = simulate_amplitudes(schedule, [config.total_time])[0] * trivial
         assert abs(amp - expected) < 1e-12
-    monkeypatch.setattr(experiments, "_trial_chunks", _default_rng_chunks)
+        deltas.append(delta)
+        offsets.append(offset)
+    start, total, n = config.noise_start, config.total_time, config.trials
+    times = np.stack((np.full(n, start), np.minimum(start + np.array(deltas), total), np.full(n, total)), axis=1)
+    if config.bang_bang:
+        train = PulseTrain(start + np.arange(config.pulse_count()) * config.pulse_spacing)
+        shift = np.array(offsets) if config.random_train_phase else 0.0
+        walked = train_walk(J_REF, times[:, :2], train, np.array([total]), shift)[:, 0]
+    else:
+        walked = toggle_walk(J_REF, times, (2,))[:, 0]
+    assert np.array_equal(walked * trivial, result.amplitudes)
+    given = _on_numpy_streams(monkeypatch)
     assert np.array_equal(run_transmission(config).amplitudes, result.amplitudes)
+    assert given == list(range(config.trials))
 
 
 @pytest.mark.parametrize("shape", ["locked", "random-phase"])
@@ -1163,10 +1213,14 @@ def test_a_stream_block_peaks_under_its_budget(seed):
 
 
 def test_trial_states_run_across_stream_blocks():
-    """Chunks of the budget's share of trials, cut short where a stream block ends."""
+    """Blocks of `_STREAM_BLOCK` trials, the last one short, and chunks of the
+    budget's share of trials, cut short where a stream block ends."""
     trials = _STREAM_BLOCK + 5
     rng, state, layout = _stream_generator()
-    expected = np.concatenate([streams for _, streams in _default_rng_chunks(3, trials, 1)], axis=1)
+    expected = np.concatenate([streams for _, streams in _default_rng_blocks(3, trials)], axis=1)
+    blocks = list(experiments._stream_blocks(3, trials))
+    assert [(first, streams.shape[1]) for first, streams in blocks] == [(0, _STREAM_BLOCK), (_STREAM_BLOCK, 5)]
+    assert np.array_equal(np.concatenate([streams for _, streams in blocks], axis=1), expected)
     for events, rows in ((256, 32), (75, 109), (1, experiments._CHUNK_EVENTS)):
         chunks = list(experiments._trial_chunks(3, trials, events))
         assert all(streams.shape[1] <= rows for _, streams in chunks)
