@@ -113,6 +113,13 @@ class TransmissionConfig:
         if self.noise_start + 2 * PI / self.j > self.total_time + 1e-12:
             raise FieldError("total_time", "noise window (one coupling period) must fit before total_time")
         _check_phase(self.j, self.total_time, "total_time")
+        # a trial's times and phase round on the grid of total_time, its latest time, which biases the
+        # mean by about ulp / span for a window or spacing of that span; 10 sqrt(MAX_TRIALS) ulps hold it
+        # to a tenth of a run's least standard error.  Shorter times mend a window, so it is refused there.
+        resolved = 10 * math.sqrt(MAX_TRIALS) * math.ulp(self.total_time)
+        if 2 * PI / self.j < resolved:
+            raise FieldError("total_time", "noise window (one coupling period) must span at least "
+                             f"{resolved:.3g} s, or rounding at total_time's scale biases the average")
         if not 1 <= self.group_size <= MAX_TRIALS:
             raise FieldError("group_size", f"group_size must lie in [1, {MAX_TRIALS}]")
         if self.bang_bang:
@@ -121,6 +128,9 @@ class TransmissionConfig:
             if n > MAX_TRIAL_EVENTS:
                 raise FieldError("pulses_per_trial" if counted else "pulse_spacing",
                                  f"pulse train exceeds the limit of {MAX_TRIAL_EVENTS} events a trial")
+            if self.pulse_spacing < resolved:
+                raise FieldError("pulse_spacing", f"pulse_spacing must span at least {resolved:.3g} s, "
+                                 "or rounding at total_time's scale biases the average")
             if self.noise_start + n * self.pulse_spacing > self.total_time + 1e-12:
                 raise FieldError("pulses_per_trial" if counted else "total_time",
                                  f"train of {n} pulses does not fit between noise_start and total_time")
@@ -326,10 +336,7 @@ def bang_bang_retention(j: float, spacing: float) -> float:
     a factor ``sin(x)/x`` with ``x = j * spacing / 2``; the product is the
     squared sinc.
     """
-    x = _half_step(j, spacing)
-    if x == 0.0:
-        return 1.0
-    return float((math.sin(x) / x) ** 2)
+    return bang_bang_retention_fixed_start(j, spacing) ** 2
 
 
 def bang_bang_retention_fixed_start(j: float, spacing: float) -> float:
@@ -338,18 +345,14 @@ def bang_bang_retention_fixed_start(j: float, spacing: float) -> float:
     Only the trailing window edge is random, so a single sinc factor
     survives instead of its square.
     """
-    x = _half_step(j, spacing)
-    if x == 0.0:
-        return 1.0
-    return float(math.sin(x) / x)
-
-
-def _half_step(j: float, spacing: float) -> float:
     if not j > 0:
         raise ValueError("coupling j must be positive")
     if spacing < 0:
         raise ValueError("spacing must be non-negative")
-    return j * spacing / 2.0
+    x = j * spacing / 2.0
+    if x == 0.0:
+        return 1.0
+    return float(math.sin(x) / x)
 
 
 def interval_noise_retention(j: float, mean_interval: float, spread: float) -> float:
@@ -713,7 +716,7 @@ def _next_doubles(streams: np.ndarray) -> np.ndarray:
 _THREAD = threading.local()
 
 
-def _stream_generator() -> tuple[np.random.Generator, memoryview, Callable[[np.ndarray], bytes]]:
+def _stream_generator() -> tuple[np.random.Generator, memoryview, Callable[[np.ndarray], np.ndarray]]:
     """This thread's `_new_stream_generator`, built on the thread's first call.
 
     Per thread, not per process: two runs writing their trials' words into
@@ -726,10 +729,11 @@ def _stream_generator() -> tuple[np.random.Generator, memoryview, Callable[[np.n
     return _THREAD.stream_generator
 
 
-def _new_stream_generator() -> tuple[np.random.Generator, memoryview, Callable[[np.ndarray], bytes]]:
+def _new_stream_generator() -> tuple[np.random.Generator, memoryview, Callable[[np.ndarray], np.ndarray]]:
     """A PCG64 generator, a writable 32-byte view of its ``{state, inc}``, and
     the layout that turns ``(4, rows)`` streams, as `_trial_streams` gives
-    them, into the bytes the view holds, 32 a trial.
+    them, into the words the view holds: a C-ordered ``(rows, 2, 2)`` uint64
+    array, a trial's 32 bytes a row.
 
     ``bit_generator.ctypes.state_address`` points to numpy's ``pcg64_state``, which
     starts with a pointer to the 128-bit ``{state, inc}``.  A ``pcg128_t`` is a native
@@ -749,28 +753,8 @@ def _new_stream_generator() -> tuple[np.random.Generator, memoryview, Callable[[
     words = np.frombuffer(view, np.uint64).reshape(2, 2)
     for order in (slice(None), slice(None, None, -1)):
         if words[:, order].tolist() == probe:
-            return rng, view, lambda streams: streams.T.reshape(-1, 2, 2)[..., order].tobytes()
+            return rng, view, lambda streams: np.ascontiguousarray(streams.T.reshape(-1, 2, 2)[..., order])
     raise RuntimeError(f"unrecognised PCG64 state layout {words.tolist()}")
-
-
-def _stream_blocks(seed: int, trials: int):
-    """The PCG64 streams of ``default_rng((seed, k))``, as `_trial_streams`
-    gives them, a `_STREAM_BLOCK` of trials at a time: yields each block's
-    first trial and its ``(4, rows)`` streams.  Holds no reference to a block
-    once it is yielded, so a caller that drops it before asking for the next
-    frees it before the next derivation."""
-    for block in _blocks(trials, _STREAM_BLOCK):
-        yield block.start, _trial_streams(seed, block.start, block.stop)
-
-
-def _trial_chunks(seed: int, trials: int, events: int):
-    """`_stream_blocks` cut into kernel calls of trials of ``events`` events:
-    yields each chunk's first trial and a ``(4, rows)`` view of its streams.
-    A chunk holds fewer rows only where a stream block or the run ends."""
-    rows = max(1, _CHUNK_EVENTS // events)
-    for first, streams in _stream_blocks(seed, trials):
-        for chunk in _blocks(streams.shape[1], rows):
-            yield first + chunk.start, streams[:, chunk.start:chunk.stop]
 
 
 # ---------------------------------------------------------------------------
@@ -782,9 +766,21 @@ def _group_averages(amps: np.ndarray, group_size: int) -> np.ndarray:
     return np.add.reduceat(amps, starts) / np.diff(starts, append=len(amps))
 
 
-def _blocks(trials: int, size: int):
-    for first in range(0, trials, size):
-        yield range(first, min(first + size, trials))
+def _walk_chunks(seed: int, trials: int, entries: int, draw, walk):
+    """Both runs' loop: yields each kernel chunk's first trial and ``walk`` of its rows.
+
+    ``draw`` turns the streams of a `_STREAM_BLOCK` of trials, as `_trial_streams` gives
+    them, into a row a trial, and may free them; ``walk`` takes those rows in chunks sized
+    for ``entries`` entries a trial, fewer only where a block or the run ends.  A block's
+    rows are dropped before the next block is derived, so a run's peak is one block's
+    derivation and what its caller holds.
+    """
+    size = max(1, _CHUNK_EVENTS // entries)
+    for start in range(0, trials, _STREAM_BLOCK):
+        rows = draw(_trial_streams(seed, start, min(start + _STREAM_BLOCK, trials)))
+        for first in range(0, len(rows), size):
+            yield start + first, walk(rows[first:first + size])
+        del rows
 
 
 def run_transmission(config: TransmissionConfig) -> EnsembleResult:
@@ -799,32 +795,34 @@ def run_transmission(config: TransmissionConfig) -> EnsembleResult:
     `train_walk` takes the toggles, the train and the read time.  A stream
     block is drawn once, and its kernel chunks walk slices of its rows.
     """
+    phased = config.random_train_phase
+
+    def draw(streams):
+        # a trial's window, then its offset, as numpy draws them; the streams are
+        # freed before the block's rows are laid out
+        ends = config.noise_start + (0.0 + (2 * PI / config.j) * _next_doubles(streams))
+        shift = 0.0 + config.pulse_spacing * _next_doubles(streams) if phased else None
+        del streams
+        rows = np.empty((len(ends), 4 if phased else 3))
+        rows[:, 0], rows[:, 2] = config.noise_start, config.total_time
+        # inside the config's 1e-12 slack the second toggle may pass the read, where it must not count
+        np.minimum(ends, config.total_time, out=rows[:, 1])
+        if phased:
+            rows[:, 3] = shift
+        return rows
+
     if config.bang_bang:
         train = PulseTrain(config.noise_start + np.arange(config.pulse_count()) * config.pulse_spacing)
         read = np.array([config.total_time])
+
+    def walk(rows):
+        return (train_walk(config.j, rows[:, :2], train, read, rows[:, 3] if phased else 0.0) if config.bang_bang
+                else toggle_walk(config.j, rows, (2,)))
+
     amps = np.empty(config.trials, dtype=complex)
     # two toggles and a read a trial; the train is one row all trials share
-    rows = max(1, _CHUNK_EVENTS // 3)
-    for first, streams in _stream_blocks(config.seed, config.trials):
-        # a trial's window, then its offset, as numpy draws them; the streams are
-        # freed before the block's time array is built
-        ends = config.noise_start + (0.0 + (2 * PI / config.j) * _next_doubles(streams))
-        shift = 0.0 + config.pulse_spacing * _next_doubles(streams) if config.random_train_phase else 0.0
-        del streams
-        times = np.empty((len(ends), 3))
-        times[:, 0] = config.noise_start
-        # inside the config's 1e-12 slack the second toggle may pass the read, where it must not count
-        np.minimum(ends, config.total_time, out=times[:, 1])
-        times[:, 2] = config.total_time
-        for chunk in _blocks(len(times), rows):
-            part = slice(chunk.start, chunk.stop)
-            offsets = shift[part] if config.random_train_phase else 0.0
-            amps[first + chunk.start:first + chunk.stop] = (
-                train_walk(config.j, times[part, :2], train, read, offsets) if config.bang_bang
-                else toggle_walk(config.j, times[part], (2,)))[:, 0]
-        # nothing of this block is held while the next is derived, so the run's
-        # peak is one block's derivation and the amplitudes
-        del ends, shift, times, offsets
+    for first, walked in _walk_chunks(config.seed, config.trials, 3, draw, walk):
+        amps[first:first + len(walked)] = walked[:, 0]
     if config.remove_trivial_phase:
         amps *= np.exp(-0.5j * config.j * config.total_time)
     return EnsembleResult(
@@ -835,10 +833,10 @@ def run_transmission(config: TransmissionConfig) -> EnsembleResult:
     )
 
 
-def _toggle_times(rng, state: memoryview, words: bytes, width: int, mean: float, spread: float,
+def _toggle_times(rng, state: memoryview, words: np.ndarray, width: int, mean: float, spread: float,
                   count: int | None = None, horizon: float = math.inf) -> np.ndarray:
-    """Flip times of the trials whose generators start from ``words``, 32
-    bytes a trial.
+    """Flip times of the trials whose generators start from ``words``, a row
+    of 32 bytes a trial, as the layout of `_new_stream_generator` gives them.
 
     A trial's intervals are ``mean * (1 + spread * xi)`` for the standard
     normals ``xi`` of its stream, skipping non-positive values: ``count`` of
@@ -853,7 +851,7 @@ def _toggle_times(rng, state: memoryview, words: bytes, width: int, mean: float,
     0.25, where a value is non-positive only for ``xi <= -4``, about one
     draw in 30,000.
     """
-    values = np.empty((len(words) // 32, width))
+    values = np.empty((len(words), width))
     normal, copy = rng.standard_normal, io.BytesIO(words).readinto   # copy: the next 32 bytes into a view
     for row in values:
         copy(state)
@@ -922,20 +920,19 @@ def run_memory(config: MemoryConfig) -> DecayCurve:
         entries = count = 2 * max(config.cycle_counts())
         width = count + 1   # one skipped value is not a redraw
         read_flips = np.array(config.cycle_counts()) * 2 - 1
+
+    def walk(words):
+        # a draw chunk is a kernel chunk; with the pulse train, a row's padding lies past the horizon
+        toggles = _toggle_times(rng, state, words, width, config.mean_interval, config.interval_spread,
+                                count, horizon)
+        return (train_walk(config.j, toggles, train, times) if config.bang_bang
+                else toggle_walk(config.j, toggles, read_flips))
+
     acc = np.zeros((1, len(times)), dtype=complex)
-    # a draw chunk is a kernel chunk
-    for first, streams in _trial_chunks(config.seed, config.trials, entries):
-        # with the pulse train, a row's padding lies past the horizon
-        toggles = _toggle_times(rng, state, layout(streams), width, config.mean_interval,
-                                config.interval_spread, count, horizon)
-        if config.bang_bang:
-            amps = train_walk(config.j, toggles, train, times)
-        else:
-            amps = toggle_walk(config.j, toggles, read_flips)
+    for _, amps in _walk_chunks(config.seed, config.trials, entries, layout, walk):
         # accumulate adds row after row, an order numpy defines, where sum(axis=0) may pair
         # rows; a list index copies the last row, so the chunk's running sums are freed
         acc = np.add.accumulate(np.concatenate((acc, amps)))[[-1]]
-        del toggles, amps   # freed before the next chunk draws
     magnitudes = np.abs(acc[0] / config.trials)
     # too few points above the floor leave the decay unresolved, not an error
     fit = fit_exponential(times, magnitudes) if np.count_nonzero(magnitudes > FIT_FLOOR) >= 3 else None

@@ -390,6 +390,11 @@ _RULES = [
     ("noise_start", "transmission", {"noise_start": 0}, "params.noise_start"),
     ("noise_window", "transmission", {"total_time": 2e-3}, "params.total_time"),
     ("phase", "transmission", {"total_time": 1e306}, "params.total_time"),
+    # windows and spacings lost in rounding used to give a biased average and exit 0
+    ("unresolved_window", "transmission", {"noise_start": 3.52e13, "total_time": 5.28e13}, "params.total_time"),
+    ("unresolved_coupling", "transmission", {"j_hz": 1e300}, "params.total_time"),
+    ("unresolved_spacing", "transmission", {"bang_bang": True, "j_hz": 1e9, "pulse_spacing": 2e-14},
+     "params.pulse_spacing"),
     ("trials", "transmission", {"trials": 0}, "params.trials"),
     ("group_size", "transmission", {"group_size": 0}, "params.group_size"),
     ("group_size_limit", "transmission", {"group_size": 10**400}, "params.group_size"),

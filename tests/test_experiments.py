@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 from concurrent.futures import ThreadPoolExecutor
 import warnings
@@ -488,7 +489,7 @@ def test_stream_generator_is_one_per_thread():
     with ThreadPoolExecutor(1) as pool:
         other, other_state, other_layout = pool.submit(_stream_generator).result()
     streams = _trial_streams(3, 0, 4)
-    assert other is not rng and other_layout(streams) == layout(streams)
+    assert other is not rng and other_layout(streams).tobytes() == layout(streams).tobytes()
     assert not np.shares_memory(np.frombuffer(other_state, np.uint8), np.frombuffer(state, np.uint8))
 
 
@@ -509,7 +510,12 @@ def test_threads_running_memory_at_once_match_sequential_runs():
 
 def _stub_toggle_times(rng, *args, **kwargs):
     """`_toggle_times` of one trial on a stub ``rng``, which ignores the state words."""
-    return _toggle_times(rng, memoryview(bytearray(32)), bytes(32), 32, *args, **kwargs)
+    return _toggle_times(rng, memoryview(bytearray(32)), _zero_words(1), 32, *args, **kwargs)
+
+
+def _zero_words(trials):
+    """All-zero state words of ``trials`` trials, laid out as `run_memory` lays them out."""
+    return np.zeros((trials, 2, 2), np.uint64)
 
 
 class _NegativeThenFine:
@@ -546,7 +552,7 @@ def test_intervals_run_until_their_sum_passes_the_horizon():
     # several rows, each a row of normals, needing from 4 to 9 flips: each
     # row is its own flips, then its first flip past the horizon repeated
     normals = np.random.default_rng(0).uniform(-2.0, 2.0, (6, 32))
-    flips = _toggle_times(_Sequence(normals.ravel().tolist()), memoryview(bytearray(32)), bytes(6 * 32),
+    flips = _toggle_times(_Sequence(normals.ravel().tolist()), memoryview(bytearray(32)), _zero_words(6),
                           32, 2e-3, 0.25, horizon=9.1e-3)
     sums = np.cumsum(2e-3 * (1.0 + 0.25 * normals), axis=1)
     need = (sums <= 9.1e-3).sum(axis=1) + 1
@@ -567,8 +573,8 @@ def _one_at_a_time(rng, mean, spread, count=None, horizon=math.inf):
 
 
 def _state_words(seed, start, stop):
-    """The state words of trials ``start`` to ``stop - 1``, 32 bytes a trial,
-    as `run_memory` lays them out."""
+    """The state words of trials ``start`` to ``stop - 1``, a ``(2, 2)`` row a
+    trial, as `run_memory` lays them out."""
     return _stream_generator()[2](_trial_streams(seed, start, stop))
 
 
@@ -580,7 +586,7 @@ def test_block_draws_equal_one_at_a_time_draws(spread):
     words = _state_words(9, 0, 40)
     for k in range(40):
         for count, horizon in ((50, math.inf), (None, 60e-3), (None, 1e-4)):
-            block = _toggle_times(rng, state, words[32 * k:32 * (k + 1)], 32,
+            block = _toggle_times(rng, state, words[k:k + 1], 32,
                                   2e-3, spread, count, horizon)[0]
             scalar = np.cumsum(_one_at_a_time(np.random.default_rng((9, k)), 2e-3, spread, count, horizon))
             assert np.array_equal(block, scalar)
@@ -596,8 +602,9 @@ def test_chunked_draws_equal_one_at_a_time_draws(spread, count, horizon, chunk, 
     trials = 70
     rng, state, _ = _stream_generator()
     words = _state_words(5, 0, trials)
-    for block in experiments._blocks(trials, chunk):
-        flips = _toggle_times(rng, state, words[32 * block.start:32 * block.stop], width, 2e-3, spread,
+    for start in range(0, trials, chunk):
+        block = range(start, min(start + chunk, trials))
+        flips = _toggle_times(rng, state, words[block.start:block.stop], width, 2e-3, spread,
                               count, horizon)
         expected = [np.cumsum(_one_at_a_time(np.random.default_rng((5, k)), 2e-3, spread, count, horizon))
                     for k in block]
@@ -650,25 +657,22 @@ def _oracle_memory_magnitudes(config):
     return np.abs(acc / config.trials)
 
 
-def _default_rng_blocks(seed, trials):
-    """`_stream_blocks` read from ``default_rng((seed, k)).bit_generator.state``,
-    32 trials a block."""
-    for block in experiments._blocks(trials, 32):
-        words = np.array([_as_words(*_default_rng_stream(seed, k)) for k in block], dtype=np.uint64)
-        yield block.start, words.reshape(-1, 4).T
+def _default_rng_streams(seed, start, stop):
+    """`_trial_streams` read from ``default_rng((seed, k)).bit_generator.state``."""
+    words = np.array([_as_words(*_default_rng_stream(seed, k)) for k in range(start, stop)], dtype=np.uint64)
+    return np.ascontiguousarray(words.reshape(-1, 4).T)
 
 
 def _on_numpy_streams(monkeypatch):
-    """Patch `_stream_blocks` onto `_default_rng_blocks`; returns the list of
+    """Patch `_trial_streams` onto `_default_rng_streams`; returns the list of
     trials it has given out, so a test can tell that a run reached it."""
     given = []
 
-    def blocks(seed, trials):
-        for first, streams in _default_rng_blocks(seed, trials):
-            given.extend(range(first, first + streams.shape[1]))
-            yield first, streams
+    def streams(seed, start, stop):
+        given.extend(range(start, stop))
+        return _default_rng_streams(seed, start, stop)
 
-    monkeypatch.setattr(experiments, "_stream_blocks", blocks)
+    monkeypatch.setattr(experiments, "_trial_streams", streams)
     return given
 
 
@@ -1050,6 +1054,28 @@ def test_a_transmission_run_peaks_at_one_block_derivation(shape):
     assert peak < 1.2e6
 
 
+def test_a_pulsed_memory_run_peaks_at_one_block_derivation():
+    """memory_pulsed.json's shape at 20,000 trials, three stream blocks, peaks
+    under 0.8 MB of tracemalloc: one block's derivation (about 0.723 MB,
+    `_trial_streams`; laying a block out holds its streams and its words,
+    2 x 0.262 MB, and peaks lower), plus at most one chunk's amplitudes
+    (148 trials x 15 reads, 0.036 MB), plus the train and the sums, a few
+    kB, is about 0.76 MB.  A run that held the previous block's streams or
+    words (8,192 x 32 B, 0.262 MB) through the next derivation read 0.99 MB."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        config = base_memory(trials=20_000, observation_times=tuple(4e-3 * k for k in range(1, 16)),
+                             bang_bang=True, pulse_spacing=0.5e-3)
+    _stream_generator()   # the thread's generator, built once, is not the run's
+    tracemalloc.start()
+    try:
+        run_memory(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.8e6
+
+
 def test_transmission_at_the_event_limit_stays_small():
     """A train of MAX_TRIAL_EVENTS pulses is one row that all trials share,
     so the kernel's temporaries are a few train-long arrays, not a chunk of
@@ -1063,6 +1089,36 @@ def test_transmission_at_the_event_limit_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 10e6
+
+
+@pytest.mark.parametrize("params, field", [
+    ({"noise_start": 3.52e13, "total_time": 5.28e13}, "total_time"),
+    ({"noise_start": 2.2e12, "total_time": 3.3e12}, "total_time"),
+    ({"j": 2 * PI * 1e300}, "total_time"),
+    ({"noise_start": 1.5e12, "total_time": 1.5e12 + 1e-2, "bang_bang": True, "pulse_spacing": 0.3e-3},
+     "total_time"),
+    ({"j": 2 * PI * 1e9, "bang_bang": True, "pulse_spacing": 2e-14}, "pulse_spacing"),
+], ids=["0.59-ulps", "9.5-ulps", "huge-j", "train", "spacing"])
+def test_a_window_or_spacing_lost_in_rounding_is_refused(params, field):
+    """A trial's times and phase round on the grid of total_time.  A window
+    0.59 of its ulps long read |grand average| 0.979 over 400,000 trials
+    against the law's 0, and one of 9.5 ulps 0.0102, six standard errors;
+    j_hz 1e300 read 1; a locked train 1.2 ulps apart read 0.923 against the
+    sinc's 0.993.  Each is refused, at the field to change."""
+    with pytest.raises(FieldError, match="rounding at total_time") as refused:
+        base_transmission(**params)
+    assert refused.value.field == field
+
+
+def test_a_window_of_enough_ulps_runs_unbiased():
+    """At total_time 1e9 s the 4.64 ms window spans 39,000 ulps, over the
+    31,623 that hold the rounding bias to a tenth of the least standard
+    error a run can have, and runs to the law's 0 within four standard
+    errors; at 1.1e9 s it spans 19,500 and is refused."""
+    config = base_transmission(noise_start=1e-3, total_time=1e9, trials=20_000)
+    assert abs(run_transmission(config).grand_average) < 4 / math.sqrt(config.trials)
+    with pytest.raises(FieldError, match="rounding at total_time"):
+        base_transmission(total_time=1.1e9)
 
 
 def test_memory_config_needs_three_observation_times():
@@ -1213,31 +1269,58 @@ def test_a_stream_block_peaks_under_its_budget(seed):
 
 
 def test_trial_states_run_across_stream_blocks():
-    """Blocks of `_STREAM_BLOCK` trials, the last one short, and chunks of the
-    budget's share of trials, cut short where a stream block ends."""
+    """`_walk_chunks` draws blocks of `_STREAM_BLOCK` trials, the last one
+    short, and walks chunks of the budget's share of trials, cut short where
+    a stream block ends; the words it walks are numpy's own."""
     trials = _STREAM_BLOCK + 5
     rng, state, layout = _stream_generator()
-    expected = np.concatenate([streams for _, streams in _default_rng_blocks(3, trials)], axis=1)
-    blocks = list(experiments._stream_blocks(3, trials))
-    assert [(first, streams.shape[1]) for first, streams in blocks] == [(0, _STREAM_BLOCK), (_STREAM_BLOCK, 5)]
-    assert np.array_equal(np.concatenate([streams for _, streams in blocks], axis=1), expected)
+    expected = layout(_default_rng_streams(3, 0, trials))
     for events, rows in ((256, 32), (75, 109), (1, experiments._CHUNK_EVENTS)):
-        chunks = list(experiments._trial_chunks(3, trials, events))
-        assert all(streams.shape[1] <= rows for _, streams in chunks)
+        blocks = []
+
+        def draw(streams):
+            blocks.append(streams.shape[1])
+            return layout(streams)
+
+        chunks = list(experiments._walk_chunks(3, trials, events, draw, lambda words: words))
+        assert blocks == [_STREAM_BLOCK, 5]
+        assert all(len(words) <= rows for _, words in chunks)
         assert len(chunks) == -(-_STREAM_BLOCK // rows) + 1
-        firsts = np.cumsum([0] + [streams.shape[1] for _, streams in chunks])
+        firsts = np.cumsum([0] + [len(words) for _, words in chunks])
         assert [first for first, _ in chunks] == firsts[:-1].tolist()
-        streams = np.concatenate([streams for _, streams in chunks], axis=1)
-        assert np.array_equal(streams, expected)
+        words = np.concatenate([words for _, words in chunks])
+        assert words.tobytes() == expected.tobytes()
     # a generator set to derived words draws what default_rng draws
-    state[:] = layout(streams[:, -1:])
+    state[:] = words[-1].tobytes()
     assert np.array_equal(rng.standard_normal(40),
                           np.random.default_rng((3, trials - 1)).standard_normal(40))
 
 
+def test_walk_chunks_frees_a_block_before_deriving_the_next(monkeypatch):
+    """When `_walk_chunks` derives a block's streams, neither the last block's
+    streams nor the rows drawn from them are alive."""
+    derive, held = experiments._trial_streams, []
+
+    def streams(seed, start, stop):
+        assert all(ref() is None for ref in held)
+        block = derive(seed, start, stop)
+        held.append(weakref.ref(block))
+        return block
+
+    def draw(block):
+        rows = block.T.copy()
+        held.append(weakref.ref(rows))
+        return rows
+
+    monkeypatch.setattr(experiments, "_trial_streams", streams)
+    walked = [first for first, _ in experiments._walk_chunks(3, 2 * _STREAM_BLOCK + 1, 3, draw,
+                                                           lambda rows: rows.sum(axis=1))]
+    assert len(held) == 6 and walked[-1] == 2 * _STREAM_BLOCK
+
+
 def _laid_out(words, layout):
     """``[[state_hi, state_lo], [inc_hi, inc_lo]]`` as the 32 bytes of a generator's state view."""
-    return layout(np.array(words, np.uint64).reshape(4, 1))
+    return layout(np.array(words, np.uint64).reshape(4, 1)).tobytes()
 
 
 def test_state_view_reads_numpy_state():
@@ -1280,7 +1363,7 @@ def test_written_words_give_default_rng_state_and_draws(seed):
     words = _state_words(seed, 0, ks[-1] + 1)
     for k in ks:
         expected = np.random.default_rng((seed, k))
-        state[:] = words[32 * k:32 * (k + 1)]
+        state[:] = words[k].tobytes()
         assert rng.bit_generator.state == expected.bit_generator.state
         assert np.array_equal(rng.standard_normal(64), expected.standard_normal(64))
         assert rng.bit_generator.state == expected.bit_generator.state
