@@ -110,7 +110,13 @@ class TransmissionConfig:
         _check_run(self, 1.0, "1")
         if not 0 < self.noise_start < self.total_time:
             raise FieldError("noise_start", "need 0 < noise_start < total_time")
-        if self.noise_start + 2 * PI / self.j > self.total_time + 1e-12:
+        # the window's end rounds with noise_start, j, total_time and the three operations: under
+        # 5 ulps of total_time in all, so a window that fits exactly ends at most 4 ulps past it.  An
+        # overrun d clamps d / w of the windows w onto the read and biases the mean by about
+        # pi (d / w)^2; on the 10 sqrt(MAX_TRIALS) ulps a window spans at least (below), 5e-8 at
+        # 4 ulps, far under a tenth of a run's least standard error, 1 / sqrt(MAX_TRIALS)
+        slack = 4 * math.ulp(self.total_time)
+        if self.noise_start + 2 * PI / self.j > self.total_time + slack:
             raise FieldError("total_time", "noise window (one coupling period) must fit before total_time")
         _check_phase(self.j, self.total_time, "total_time")
         # a trial's times and phase round on the grid of total_time, its latest time, which biases the
@@ -131,7 +137,7 @@ class TransmissionConfig:
             if self.pulse_spacing < resolved:
                 raise FieldError("pulse_spacing", f"pulse_spacing must span at least {resolved:.3g} s, "
                                  "or rounding at total_time's scale biases the average")
-            if self.noise_start + n * self.pulse_spacing > self.total_time + 1e-12:
+            if self.noise_start + n * self.pulse_spacing > self.total_time + slack:
                 raise FieldError("pulses_per_trial" if counted else "total_time",
                                  f"train of {n} pulses does not fit between noise_start and total_time")
             # a set count may end the train inside the longest window; the default is sized to span it
@@ -790,10 +796,11 @@ def run_transmission(config: TransmissionConfig) -> EnsembleResult:
     ``rng.uniform(0, period)`` and, with a random train phase, then the train
     offset ``rng.uniform(0, pulse_spacing)``.  Both are computed as numpy
     does, ``low + (high - low) * rng.random()``.  Without a train the
-    toggles and the read time are the only events, for `toggle_walk`; with
-    one, every trial shares the train, each shifted by its offset, and
-    `train_walk` takes the toggles, the train and the read time.  A stream
-    block is drawn once, and its kernel chunks walk slices of its rows.
+    toggles and the read time are the only events, and `toggle_walk` takes
+    the intervals up to each; with one, every trial shares the train, each
+    shifted by its offset, and `train_walk` takes the toggles, the train and
+    the read time.  A stream block is drawn once, and its kernel chunks walk
+    slices of its rows.
     """
     phased = config.random_train_phase
 
@@ -805,10 +812,14 @@ def run_transmission(config: TransmissionConfig) -> EnsembleResult:
         del streams
         rows = np.empty((len(ends), 4 if phased else 3))
         rows[:, 0], rows[:, 2] = config.noise_start, config.total_time
-        # inside the config's 1e-12 slack the second toggle may pass the read, where it must not count
+        # inside the config's rounding slack the second toggle may pass the read, where it must not count
         np.minimum(ends, config.total_time, out=rows[:, 1])
         if phased:
             rows[:, 3] = shift
+        elif not config.bang_bang:
+            # toggle_walk's intervals: to the window, the window, and on to the read
+            rows[:, 2] -= rows[:, 1]
+            rows[:, 1] -= config.noise_start
         return rows
 
     if config.bang_bang:
@@ -835,18 +846,21 @@ def run_transmission(config: TransmissionConfig) -> EnsembleResult:
 
 def _toggle_times(rng, state: memoryview, words: np.ndarray, width: int, mean: float, spread: float,
                   count: int | None = None, horizon: float = math.inf) -> np.ndarray:
-    """Flip times of the trials whose generators start from ``words``, a row
-    of 32 bytes a trial, as the layout of `_new_stream_generator` gives them.
+    """Flip intervals, or flip times, of the trials whose generators start
+    from ``words``, a row of 32 bytes a trial, as the layout of
+    `_new_stream_generator` gives them.
 
     A trial's intervals are ``mean * (1 + spread * xi)`` for the standard
-    normals ``xi`` of its stream, skipping non-positive values: ``count`` of
-    them, or else enough for their running sum to pass ``horizon``.  A row
-    holds their running sums, padded to the widest row with its last flip.
-    ``rng`` is set to each trial's stream by copying its bytes into
-    ``state``, the view of `_stream_generator`, and draws ``width`` normals;
-    if any row runs short, the whole chunk is drawn again twice as wide.  A
-    block draw equals that many scalar draws, so these are the flips that
-    drawing and resampling one value at a time gives.
+    normals ``xi`` of its stream, skipping non-positive values.  With a
+    ``count`` a row holds that many intervals, as `toggle_walk` takes them;
+    without one it holds the running sums of enough intervals to pass
+    ``horizon``, the flip times `train_walk` takes, padded to the widest
+    row with its last flip.  ``rng`` is set to each trial's stream by
+    copying its bytes into ``state``, the view of `_stream_generator`, and
+    draws ``width`` normals; if any row runs short, the whole chunk is drawn
+    again twice as wide.  A block draw equals that many scalar draws, so
+    these are the intervals that drawing and resampling one value at a time
+    gives.
     Resampling needs no limit: ``MemoryConfig`` keeps the spread at most
     0.25, where a value is non-positive only for ``xi <= -4``, about one
     draw in 30,000.
@@ -863,14 +877,15 @@ def _toggle_times(rng, state: memoryview, words: np.ndarray, width: int, mean: f
     skipped = values <= 0.0
     if skipped.any():
         # each row's positive values first, in drawing order; the rest become
-        # inf, so no sum from them on is at or before the horizon
+        # inf, so neither a row's count-th value nor a sum from them on passes
+        # the checks below
         values = np.take_along_axis(values, np.argsort(skipped, axis=1, kind="stable"), axis=1)
         values[values <= 0.0] = np.inf
-    flips = np.cumsum(values, axis=1, out=values)
     if count is not None:
-        if count <= width and np.isfinite(flips[:, count - 1]).all():
-            return flips[:, :count].copy()   # a copy frees the wider draw
+        if count <= width and np.isfinite(values[:, count - 1]).all():
+            return values[:, :count]
     else:
+        flips = np.cumsum(values, axis=1, out=values)
         # rows never decrease, so each row needs its flips up to its first past
         # the horizon, argmax's index; a row with none has argmax 0 and fails the check
         need = np.argmax(flips > horizon, axis=1) + 1
@@ -897,9 +912,9 @@ def run_memory(config: MemoryConfig) -> DecayCurve:
     """Ensemble decay curve of the repeated-toggling experiment.
 
     Without the pulse train observation k is read at flip ``2 k - 1`` (k
-    the cycles it spans), so `toggle_walk` takes the flips alone.  With it
-    every trial shares the train and the observation times, so
-    `train_walk` takes the flips and those two rows.  A trial draws its flip
+    the cycles it spans), so `toggle_walk` takes the drawn intervals alone.
+    With it every trial shares the train and the observation times, so
+    `train_walk` takes the flip times and those two rows.  A trial draws its flip
     count and one normal more, or the flips the train's horizon needs with a
     six-sigma tail (`_pulsed_width`); the amplitudes are summed in trial
     order, whatever the chunking.
@@ -922,11 +937,11 @@ def run_memory(config: MemoryConfig) -> DecayCurve:
         read_flips = np.array(config.cycle_counts()) * 2 - 1
 
     def walk(words):
-        # a draw chunk is a kernel chunk; with the pulse train, a row's padding lies past the horizon
-        toggles = _toggle_times(rng, state, words, width, config.mean_interval, config.interval_spread,
-                                count, horizon)
-        return (train_walk(config.j, toggles, train, times) if config.bang_bang
-                else toggle_walk(config.j, toggles, read_flips))
+        # a draw chunk is a kernel chunk: intervals, or with the train flip times padded past the horizon
+        drawn = _toggle_times(rng, state, words, width, config.mean_interval, config.interval_spread,
+                              count, horizon)
+        return (train_walk(config.j, drawn, train, times) if config.bang_bang
+                else toggle_walk(config.j, drawn, read_flips))
 
     acc = np.zeros((1, len(times)), dtype=complex)
     for _, amps in _walk_chunks(config.seed, config.trials, entries, layout, walk):

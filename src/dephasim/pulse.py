@@ -357,22 +357,20 @@ def train_walk(j: float, toggles: np.ndarray, train: PulseTrain, snapshots: np.n
     return amps
 
 
-def toggle_walk(j: float, times: np.ndarray, at) -> np.ndarray:
+def toggle_walk(j: float, intervals: np.ndarray, at) -> np.ndarray:
     """`train_walk` for trials without a train: toggles are their only events.
 
-    Each row of ``times`` holds one trial's toggle times, ascending; the
-    amplitude is read at the times in the columns ``at`` and returned as a
-    C-ordered (trials x len(at)) array.  A toggle changes nothing before
-    it, so a read time after the last toggle can be a column of its own.
-    Toggle ``i`` ends an interval of rate sign ``(-1)**i``, so ``psi`` is a
-    running sum along each row: ``np.cumsum``, or on a tall, narrow chunk
-    column adds in place, the same additions in the same order, same bits.
+    Each row of ``intervals`` holds one trial's intervals between toggles,
+    non-negative, the first from t = 0, so toggle ``i`` ends interval ``i``;
+    the amplitude is read at the ends of the intervals in the columns ``at``
+    and returned as a C-ordered (trials x len(at)) array.  A toggle changes
+    nothing before it, so a read time after the last toggle can end an
+    interval of its own.  Interval ``i`` has rate sign ``(-1)**i``, so
+    ``psi`` is a running sum along each row: ``np.cumsum``, or on a tall,
+    narrow chunk column adds in place, the same additions in the same order,
+    same bits.
     """
-    # interval lengths along the flattened rows; contiguous operands need no
-    # buffers; each row's first interval runs from t = 0
-    psi = np.empty(times.shape)
-    np.subtract(times.ravel()[1:], times.ravel()[:-1], out=psi.ravel()[1:])
-    psi[:, 0] = times[:, 0]
+    psi = intervals.copy()   # C-ordered, whatever the caller's layout
     psi[:, 1::2] *= -1.0
     if len(psi) >= _COLUMN_ADD_ROWS * (psi.shape[1] - 1):
         for c in range(1, psi.shape[1]):

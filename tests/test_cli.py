@@ -395,6 +395,13 @@ _RULES = [
     ("unresolved_coupling", "transmission", {"j_hz": 1e300}, "params.total_time"),
     ("unresolved_spacing", "transmission", {"bang_bang": True, "j_hz": 1e9, "pulse_spacing": 2e-14},
      "params.pulse_spacing"),
+    # a window past total_time by under 1e-12 s used to be clamped onto the read and exit 0
+    ("window_past_the_read", "transmission",
+     {"j_hz": 1e13, "noise_start": 1e-3, "total_time": 1.00000000000005e-3, "trials": 100_000},
+     "params.total_time"),
+    ("half_window_past_the_read", "transmission",
+     {"j_hz": 1e13, "noise_start": 1e-3, "total_time": 1.00000000005e-3, "trials": 100_000},
+     "params.total_time"),
     ("trials", "transmission", {"trials": 0}, "params.trials"),
     ("group_size", "transmission", {"group_size": 0}, "params.group_size"),
     ("group_size_limit", "transmission", {"group_size": 10**400}, "params.group_size"),

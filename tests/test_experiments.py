@@ -572,6 +572,13 @@ def _one_at_a_time(rng, mean, spread, count=None, horizon=math.inf):
     return np.array(out)
 
 
+def _drawn_one_at_a_time(rng, mean, spread, count=None, horizon=math.inf):
+    """A row as `_toggle_times` hands it out, drawn one value at a time: the
+    ``count`` intervals, or the flip times up to the first past ``horizon``."""
+    intervals = _one_at_a_time(rng, mean, spread, count, horizon)
+    return intervals if count is not None else np.cumsum(intervals)
+
+
 def _state_words(seed, start, stop):
     """The state words of trials ``start`` to ``stop - 1``, a ``(2, 2)`` row a
     trial, as `run_memory` lays them out."""
@@ -580,15 +587,16 @@ def _state_words(seed, start, stop):
 
 @pytest.mark.parametrize("spread", [0.25, 1.5])
 def test_block_draws_equal_one_at_a_time_draws(spread):
-    """Same stream, same intervals; at spread 1.5 a quarter of the draws are
-    rejected, runs of them span blocks, and the horizon falls mid-block."""
+    """Same stream, same intervals, or flip times up to a horizon; at spread
+    1.5 a quarter of the draws are rejected, runs of them span blocks, and
+    the horizon falls mid-block."""
     rng, state, _ = _stream_generator()
     words = _state_words(9, 0, 40)
     for k in range(40):
         for count, horizon in ((50, math.inf), (None, 60e-3), (None, 1e-4)):
             block = _toggle_times(rng, state, words[k:k + 1], 32,
                                   2e-3, spread, count, horizon)[0]
-            scalar = np.cumsum(_one_at_a_time(np.random.default_rng((9, k)), 2e-3, spread, count, horizon))
+            scalar = _drawn_one_at_a_time(np.random.default_rng((9, k)), 2e-3, spread, count, horizon)
             assert np.array_equal(block, scalar)
 
 
@@ -596,20 +604,21 @@ def test_block_draws_equal_one_at_a_time_draws(spread):
 @pytest.mark.parametrize("count, horizon", [(50, math.inf), (None, 60e-3)], ids=["count", "horizon"])
 @pytest.mark.parametrize("chunk, width", [(1, 64), (32, 64), (32, 8)], ids=["1", "32", "32-short"])
 def test_chunked_draws_equal_one_at_a_time_draws(spread, count, horizon, chunk, width):
-    """Each row of a chunk holds its trial's flips, then repeats of its last
-    one up to the chunk's widest row.  70 trials end in a partial chunk; at
-    width 8 every chunk runs short and is drawn again."""
+    """Each row of a chunk holds its trial's intervals, or its flips up to a
+    horizon, then repeats of its last flip up to the chunk's widest row.  70
+    trials end in a partial chunk; at width 8 every chunk runs short and is
+    drawn again."""
     trials = 70
     rng, state, _ = _stream_generator()
     words = _state_words(5, 0, trials)
     for start in range(0, trials, chunk):
         block = range(start, min(start + chunk, trials))
-        flips = _toggle_times(rng, state, words[block.start:block.stop], width, 2e-3, spread,
+        drawn = _toggle_times(rng, state, words[block.start:block.stop], width, 2e-3, spread,
                               count, horizon)
-        expected = [np.cumsum(_one_at_a_time(np.random.default_rng((5, k)), 2e-3, spread, count, horizon))
+        expected = [_drawn_one_at_a_time(np.random.default_rng((5, k)), 2e-3, spread, count, horizon)
                     for k in block]
-        assert flips.shape == (len(block), max(map(len, expected)))
-        for row, scalar in zip(flips, expected):
+        assert drawn.shape == (len(block), max(map(len, expected)))
+        for row, scalar in zip(drawn, expected):
             assert np.array_equal(row[:len(scalar)], scalar)
             assert np.all(row[len(scalar):] == scalar[-1])
 
@@ -773,9 +782,9 @@ def _recording_walk(monkeypatch):
     train and the snapshot times are one row that all its trials share."""
     calls = []
 
-    def recording_toggle(j, times, at):
-        calls.append(times.shape)
-        return toggle_walk(j, times, at)
+    def recording_toggle(j, intervals, at):
+        calls.append(intervals.shape)
+        return toggle_walk(j, intervals, at)
 
     def recording_train(j, toggles, train, snapshots, shift=0.0):
         calls.append((len(toggles), toggles.shape[1] + len(snapshots)))
@@ -808,27 +817,31 @@ def _oracle_rows(toggles, pulses, snapshots):
 
 @pytest.mark.parametrize("spread", [0.0, 0.25])
 def test_toggle_walk_meets_the_oracle_on_plain_memory_flips(spread):
-    """Flips as a plain memory run draws them, read at flips 2 k - 1: within
-    1e-12 of the oracle, trial by trial.  Seed 1's trials 1040-1072 hold
-    trial 1072, which skips its eleventh draw at spread 0.25."""
+    """Intervals as a plain memory run draws them, read at flips 2 k - 1:
+    within 1e-12 of the oracle on their running sums, trial by trial.  Seed
+    1's trials 1040-1072 hold trial 1072, which skips its eleventh draw at
+    spread 0.25."""
     rng, state, _ = _stream_generator()
-    flips = _toggle_times(rng, state, _state_words(1, 1040, 1073), 64, 2e-3, spread, 50)
+    intervals = _toggle_times(rng, state, _state_words(1, 1040, 1073), 64, 2e-3, spread, 50)
+    flips = np.cumsum(intervals, axis=1)
     at = np.arange(1, 26) * 2 - 1
-    walked = toggle_walk(J_REF, flips, at)
+    walked = toggle_walk(J_REF, intervals, at)
     assert np.max(np.abs(walked - _oracle_rows(flips, [()] * len(flips), flips[:, at]))) < 1e-12
 
 
 def test_toggle_walk_meets_the_oracle_on_transmission_rows():
     """Free transmission rows, toggles at noise_start and its end and the
-    read at total_time: within 1e-12 of the oracle, also where the second
-    toggle lies on total_time or past it inside the config's 1e-12 slack.
+    read at total_time, as the intervals up to each: within 1e-12 of the
+    oracle, also where the second toggle lies on total_time or past it: the
+    config's rounding slack lets it pass by a few ulps, and 1e-13 s here.
     The walk takes that toggle clamped onto total_time and the oracle where
     it lies, so the clamp must keep it from counting."""
     start, total = 1e-3, 1e-3 + 2 * PI / J_REF
     ends = start + (0.0 + (2 * PI / J_REF) * _next_doubles(_trial_streams(7, 0, 1000)))
     ends = np.concatenate((ends, [start, np.nextafter(total, 0.0), total, total + 1e-13]))
     starts, totals = np.full(len(ends), start), np.full((len(ends), 1), total)
-    walked = toggle_walk(J_REF, np.stack((starts, np.minimum(ends, total), totals[:, 0]), axis=1), (2,))
+    clamped = np.minimum(ends, total)
+    walked = toggle_walk(J_REF, np.stack((starts, clamped - starts, totals[:, 0] - clamped), axis=1), (2,))
     expected = _oracle_rows(np.stack((starts, ends), axis=1), [()] * len(ends), totals)
     assert np.max(np.abs(walked - expected)) < 1e-12
 
@@ -837,10 +850,10 @@ def test_toggle_walk_meets_the_oracle_on_transmission_rows():
 def test_train_walk_meets_the_oracle_on_transmission_rows(random_phase):
     """Pulsed transmission rows as a run draws them, in the shape of
     transmission_pulsed.json, also where the second toggle lies on
-    noise_start, just before total_time, on it or past it inside the
-    config's 1e-12 slack: `train_walk` on the clamped toggles, the shared
-    train and its shifts, within 1e-12 of the oracle on the unclamped
-    toggles and each trial's own train."""
+    noise_start, just before total_time, on it or past it (the config's
+    rounding slack lets it pass by a few ulps, and 1e-13 s here): `train_walk` on
+    the clamped toggles, the shared train and its shifts, within 1e-12 of
+    the oracle on the unclamped toggles and each trial's own train."""
     config = TransmissionConfig(j=J_REF, total_time=8.5e-3, noise_start=1e-3, trials=1, seed=1,
                                 bang_bang=True, pulse_spacing=0.3e-3, random_train_phase=random_phase)
     start, total, spacing = config.noise_start, config.total_time, config.pulse_spacing
@@ -883,9 +896,10 @@ def test_train_walk_meets_toggle_walk_on_a_49400_pulse_train():
     """8 trials of about 500 toggles under a 49,400-pulse train up to 24.7 s,
     where the oracle takes a third of a second a trial.  Toggles and pulses
     both reverse the switching function, so a row's toggles and pulses,
-    merged in a stable sort, are one row of `toggle_walk`; read there at
-    pulse 8 j + 7, after seven pulses of a cycle, sigma is -1 and E is -1
-    (three y pulses), so ``a = -conj(toggle_walk)``, to 1e-14."""
+    merged in a stable sort, are one row of `toggle_walk`, which takes the
+    intervals between them; read there at pulse 8 j + 7, after seven pulses
+    of a cycle, sigma is -1 and E is -1 (three y pulses), so
+    ``a = -conj(toggle_walk)``, to 1e-14."""
     toggles, train = _pulsed_memory_rows(0.05, 24.7, 8)
     walked = train_walk(J_REF, toggles, PulseTrain(train), train[7::8])
     merged = np.concatenate((toggles, np.broadcast_to(train, (len(toggles), len(train)))), axis=1)
@@ -893,7 +907,8 @@ def test_train_walk_meets_toggle_walk_on_a_49400_pulse_train():
     merged = np.take_along_axis(merged, order, axis=1)
     # where each read pulse's column sorted to, a row at a time
     reads = np.argsort(order, axis=1)[:, toggles.shape[1] + np.arange(7, len(train), 8)]
-    expected = -np.conj([toggle_walk(J_REF, row[None], at)[0] for row, at in zip(merged, reads)])
+    intervals = np.diff(merged, axis=1, prepend=0.0)
+    expected = -np.conj([toggle_walk(J_REF, row[None], at)[0] for row, at in zip(intervals, reads)])
     assert np.max(np.abs(walked - expected)) < 1e-14
 
 
@@ -1110,6 +1125,31 @@ def test_a_window_or_spacing_lost_in_rounding_is_refused(params, field):
     assert refused.value.field == field
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"j": 2 * PI * 1e13, "total_time": 1.00000000000005e-3}, "must fit before total_time"),
+    ({"j": 2 * PI * 1e13, "total_time": 1.00000000005e-3}, "must fit before total_time"),
+    ({"total_time": 1e-3 + 24 * 0.3e-3 - 5e-13, "bang_bang": True, "pulse_spacing": 0.3e-3}, "does not fit"),
+], ids=["every-window", "half-window", "train"])
+def test_a_window_or_train_past_total_time_is_refused(params, message):
+    """An absolute 1e-12 s of slack let a 1e-13 s window (j_hz 1e13) end
+    ten windows past total_time, where the run clamps it onto the read:
+    100,000 trials read |grand average| 0.99999999917 with every window
+    clamped, and 0.5917 with total_time half a window after noise_start,
+    against the law's 0, and exited 0; a train could end 1e-12 s past the
+    read as well.  The slack is now a few ulps of total_time."""
+    with pytest.raises(FieldError, match=message) as refused:
+        base_transmission(noise_start=1e-3, trials=100_000, **params)
+    assert refused.value.field == "total_time"
+
+
+def test_a_window_ending_on_total_time_runs():
+    """1e-3 s + 1 / 5000 Hz is 1.2e-3 s, but noise_start + 2 pi / j rounds
+    to an ulp past total_time; the rounding slack lets that window run."""
+    config = base_transmission(j=2 * PI * 5000.0, noise_start=1e-3, total_time=1.2e-3, trials=20_000)
+    assert config.noise_start + 2 * PI / config.j > config.total_time
+    assert abs(run_transmission(config).grand_average) < 4 / math.sqrt(config.trials)
+
+
 def test_a_window_of_enough_ulps_runs_unbiased():
     """At total_time 1e9 s the 4.64 ms window spans 39,000 ulps, over the
     31,623 that hold the rounding bias to a tenth of the least standard
@@ -1160,7 +1200,8 @@ def test_run_transmission_matches_the_schedule_oracle(overrides, monkeypatch):
         shift = np.array(offsets) if config.random_train_phase else 0.0
         walked = train_walk(J_REF, times[:, :2], train, np.array([total]), shift)[:, 0]
     else:
-        walked = toggle_walk(J_REF, times, (2,))[:, 0]
+        # the intervals to the window, the window, and on to the read
+        walked = toggle_walk(J_REF, np.diff(times, axis=1, prepend=0.0), (2,))[:, 0]
     assert np.array_equal(walked * trivial, result.amplitudes)
     given = _on_numpy_streams(monkeypatch)
     assert np.array_equal(run_transmission(config).amplitudes, result.amplitudes)

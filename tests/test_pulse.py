@@ -305,10 +305,11 @@ def toggle_chunks(draw):
 def test_toggle_walk_matches_simulate_amplitudes(chunk):
     """The toggle-only walk against the state-vector oracle, trial by trial,
     with toggles and reads at one instant on the coarse grid; the last
-    column is a read time only."""
+    column is a read time only.  The walk takes the intervals up to each
+    column, the oracle the times."""
     times, at = chunk
     sys = CouplingSystem(J_REF)
-    amps = toggle_walk(J_REF, times, at)
+    amps = toggle_walk(J_REF, np.diff(times, axis=1, prepend=0.0), at)
     assert amps.shape == (len(times), len(at))
     # C order: a run's group sums depend on how the rows are laid out
     assert amps.flags.c_contiguous
