@@ -216,8 +216,8 @@ class MemoryConfig:
                              f"toggles and pulse train exceed the limit of {MAX_TRIAL_EVENTS} "
                              "events a trial")
         # with the train the snapshots are the observation times; without it
-        # they are flips, where psi is an alternating sum of the intervals,
-        # about half the horizon
+        # they are cycle ends, where psi sums the cycles' increments, each an
+        # interval less the next, about half the horizon
         _check_phase(self.j, horizon, "observation_times")
         # the flips a trial draws pass the horizon by about one interval, and
         # twice the horizon only at odds below 1e-20 (a mean xi of 4 over at
@@ -275,8 +275,9 @@ def _check_run(config: TransmissionConfig | MemoryConfig, sparse: float, bound: 
 def _check_phase(j: float, time: float, field: str) -> None:
     """Refuse a ``time`` at which the phase ``j * time / 2`` overflows.
 
-    `toggle_walk` and `train_walk` return ``exp(0.5j * j * psi)`` with
-    ``|psi|`` at most the latest read time, shifted train or not, and the
+    `toggle_walk` and `train_walk` return the cosine and sine of
+    ``0.5 * j * psi`` with ``|psi|`` at most the latest read time, shifted
+    train or not, as an amplitude's real and imaginary parts, and the
     trivial-phase factor is ``exp(-0.5j * j * total_time)``; an infinite
     phase makes both NaN.
     """
@@ -797,10 +798,11 @@ def run_transmission(config: TransmissionConfig) -> EnsembleResult:
     offset ``rng.uniform(0, pulse_spacing)``.  Both are computed as numpy
     does, ``low + (high - low) * rng.random()``.  Without a train the
     toggles and the read time are the only events, and `toggle_walk` takes
-    the intervals up to each; with one, every trial shares the train, each
-    shifted by its offset, and `train_walk` takes the toggles, the train and
-    the read time.  A stream block is drawn once, and its kernel chunks walk
-    slices of its rows.
+    two phase increments a trial: the toggle cycle, the interval up to the
+    window less the window, and the lone interval on to the read; with one,
+    every trial shares the train, each shifted by its offset, and
+    `train_walk` takes the toggles, the train and the read time.  A stream
+    block is drawn once, and its kernel chunks walk slices of its rows.
     """
     phased = config.random_train_phase
 
@@ -810,16 +812,19 @@ def run_transmission(config: TransmissionConfig) -> EnsembleResult:
         ends = config.noise_start + (0.0 + (2 * PI / config.j) * _next_doubles(streams))
         shift = 0.0 + config.pulse_spacing * _next_doubles(streams) if phased else None
         del streams
-        rows = np.empty((len(ends), 4 if phased else 3))
-        rows[:, 0], rows[:, 2] = config.noise_start, config.total_time
         # inside the config's rounding slack the second toggle may pass the read, where it must not count
-        np.minimum(ends, config.total_time, out=rows[:, 1])
+        np.minimum(ends, config.total_time, out=ends)
+        if not config.bang_bang:
+            # toggle_walk's increments: up to the window less the window, then on to the read
+            rows = np.empty((len(ends), 2))
+            np.subtract(config.total_time, ends, out=rows[:, 1])
+            ends -= config.noise_start
+            np.subtract(config.noise_start, ends, out=rows[:, 0])
+            return rows
+        rows = np.empty((len(ends), 3 if phased else 2))
+        rows[:, 0], rows[:, 1] = config.noise_start, ends
         if phased:
-            rows[:, 3] = shift
-        elif not config.bang_bang:
-            # toggle_walk's intervals: to the window, the window, and on to the read
-            rows[:, 2] -= rows[:, 1]
-            rows[:, 1] -= config.noise_start
+            rows[:, 2] = shift
         return rows
 
     if config.bang_bang:
@@ -827,8 +832,8 @@ def run_transmission(config: TransmissionConfig) -> EnsembleResult:
         read = np.array([config.total_time])
 
     def walk(rows):
-        return (train_walk(config.j, rows[:, :2], train, read, rows[:, 3] if phased else 0.0) if config.bang_bang
-                else toggle_walk(config.j, rows, (2,)))
+        return (train_walk(config.j, rows[:, :2], train, read, rows[:, 2] if phased else 0.0) if config.bang_bang
+                else toggle_walk(config.j, rows, (1,)))
 
     amps = np.empty(config.trials, dtype=complex)
     # two toggles and a read a trial; the train is one row all trials share
@@ -852,7 +857,7 @@ def _toggle_times(rng, state: memoryview, words: np.ndarray, width: int, mean: f
 
     A trial's intervals are ``mean * (1 + spread * xi)`` for the standard
     normals ``xi`` of its stream, skipping non-positive values.  With a
-    ``count`` a row holds that many intervals, as `toggle_walk` takes them;
+    ``count`` a row holds that many intervals, the toggle cycles of `toggle_walk`;
     without one it holds the running sums of enough intervals to pass
     ``horizon``, the flip times `train_walk` takes, padded to the widest
     row with its last flip.  ``rng`` is set to each trial's stream by
@@ -911,8 +916,9 @@ def _pulsed_width(horizon: float, mean: float, spread: float) -> int:
 def run_memory(config: MemoryConfig) -> DecayCurve:
     """Ensemble decay curve of the repeated-toggling experiment.
 
-    Without the pulse train observation k is read at flip ``2 k - 1`` (k
-    the cycles it spans), so `toggle_walk` takes the drawn intervals alone.
+    Without the pulse train an observation that spans ``k`` toggle cycles
+    is read after the ``k``-th, so `toggle_walk` takes each cycle's phase
+    increment, its first drawn interval less its second.
     With it every trial shares the train and the observation times, so
     `train_walk` takes the flip times and those two rows.  A trial draws its flip
     count and one normal more, or the flips the train's horizon needs with a
@@ -934,14 +940,14 @@ def run_memory(config: MemoryConfig) -> DecayCurve:
     else:
         entries = count = 2 * max(config.cycle_counts())
         width = count + 1   # one skipped value is not a redraw
-        read_flips = np.array(config.cycle_counts()) * 2 - 1
+        read_cycles = np.array(config.cycle_counts()) - 1
 
     def walk(words):
         # a draw chunk is a kernel chunk: intervals, or with the train flip times padded past the horizon
         drawn = _toggle_times(rng, state, words, width, config.mean_interval, config.interval_spread,
                               count, horizon)
         return (train_walk(config.j, drawn, train, times) if config.bang_bang
-                else toggle_walk(config.j, drawn, read_flips))
+                else toggle_walk(config.j, drawn[:, 0::2] - drawn[:, 1::2], read_cycles))
 
     acc = np.zeros((1, len(times)), dtype=complex)
     for _, amps in _walk_chunks(config.seed, config.trials, entries, layout, walk):

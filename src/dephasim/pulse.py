@@ -29,8 +29,9 @@ _CYCLE_EPS = np.array([(-1) ** sum("y" in axis for axis in AXIS_CYCLE[:r]) for r
 # Signs of Z x Z on the computational basis; H = (J/4) diag of this.
 _ZZ_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
-# rows per column after the first from which `toggle_walk` adds columns in place; best of 15, us, cumsum
-# vs adds (2-core Xeon, numpy 2.4.6): 2730x3 68 vs 10, 546x15 38 vs 25, 512x16 38 vs 39, 163x50 37 vs 118
+# rows per column after the first from which `toggle_walk` adds columns; best of 15, us, cumsum vs adds
+# (2-core Xeon, numpy 2.4.6): transmission's 2730x2 53 vs 8 and a 12 ms memory run's 1365x3 31 vs 10
+# take the adds, memory.json's 163x25 21 vs 47 the cumsum
 _COLUMN_ADD_ROWS = 32
 
 
@@ -305,6 +306,8 @@ def train_walk(j: float, toggles: np.ndarray, train: PulseTrain, snapshots: np.n
     first pulse; the ``o`` terms sum to one ``o`` whatever ``m``.
     At one instant a snapshot reads before a pulse and a toggle; ``G`` is
     continuous, so where a toggle falls against a pulse changes nothing.
+    The phase ``sigma J psi / 2`` becomes ``a`` through `_phasors`, then
+    takes the factor ``E``.
     """
     rows, n_toggles = toggles.shape
     n_snap = len(snapshots)
@@ -351,34 +354,49 @@ def train_walk(j: float, toggles: np.ndarray, train: PulseTrain, snapshots: np.n
     psi += (1 - 2 * (m & 1)) * ((x - starts[before]) * signs[before] + at_start[before])
     psi += o
     psi *= signs[before]   # sigma
-    amps = 0.5j * j * psi
-    np.exp(amps, out=amps)
+    psi *= 0.5 * j
+    amps = _phasors(psi)
     amps *= _CYCLE_EPS[before % len(AXIS_CYCLE)]   # E
     return amps
 
 
-def toggle_walk(j: float, intervals: np.ndarray, at) -> np.ndarray:
+def toggle_walk(j: float, cycles: np.ndarray, at) -> np.ndarray:
     """`train_walk` for trials without a train: toggles are their only events.
 
-    Each row of ``intervals`` holds one trial's intervals between toggles,
-    non-negative, the first from t = 0, so toggle ``i`` ends interval ``i``;
-    the amplitude is read at the ends of the intervals in the columns ``at``
-    and returned as a C-ordered (trials x len(at)) array.  A toggle changes
-    nothing before it, so a read time after the last toggle can end an
-    interval of its own.  Interval ``i`` has rate sign ``(-1)**i``, so
-    ``psi`` is a running sum along each row: ``np.cumsum``, or on a tall,
-    narrow chunk column adds in place, the same additions in the same order,
-    same bits.
+    Each row of ``cycles`` holds one trial's phase increments, a toggle
+    cycle a column: the cycle's interval before its up-toggle less the
+    interval after it, the first interval from t = 0 and each one
+    non-negative.  Intervals have rate sign ``+1`` and ``-1`` in turn, so
+    ``psi`` after cycle ``c`` is the sum of the row's first ``c + 1``
+    columns.  The last column may be a lone interval, a read time after
+    the last toggle (a toggle changes nothing before it).  The amplitude
+    ``exp(i J psi / 2)``, built by `_phasors`, is read after the cycles in
+    the columns ``at`` and returned as a C-ordered (trials x len(at))
+    array.  The running sum is ``np.cumsum``, or on a tall, narrow chunk
+    column adds, the same additions in the same order, same bits.
     """
-    psi = intervals.copy()   # C-ordered, whatever the caller's layout
-    psi[:, 1::2] *= -1.0
+    psi = np.empty(cycles.shape)   # C-ordered, whatever the caller's layout
     if len(psi) >= _COLUMN_ADD_ROWS * (psi.shape[1] - 1):
+        psi[:, 0] = cycles[:, 0]
         for c in range(1, psi.shape[1]):
-            psi[:, c] += psi[:, c - 1]
+            np.add(psi[:, c - 1], cycles[:, c], out=psi[:, c])
     else:
-        np.cumsum(psi, axis=1, out=psi)
+        np.cumsum(cycles, axis=1, out=psi)
     # take, not psi[:, at]: a group sum over the rows depends on their layout
-    return np.exp(0.5j * j * psi.take(at, axis=1))
+    phase = psi.take(at, axis=1)
+    phase *= 0.5 * j
+    return _phasors(phase)
+
+
+def _phasors(phase: np.ndarray) -> np.ndarray:
+    """``exp(1j * phase)``, the cosine written into the real part and the
+    sine into the imaginary part: on numpy 2.4 the bits of the complex
+    ``np.exp`` of ``1j * phase``, but for a phase of -0.0, whose sine keeps
+    its sign, and faster on phases under about 3 rad."""
+    amps = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=amps.real)
+    np.sin(phase, out=amps.imag)
+    return amps
 
 
 def lab_frame_hamiltonian(params: LabFrameParams) -> np.ndarray:

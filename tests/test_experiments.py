@@ -766,8 +766,8 @@ def test_memory_does_not_depend_on_the_entries_per_call(shape, monkeypatch):
     """The sum over trials runs in trial order whatever the rows per call;
     1,000 trials end in a partial chunk.  A plain chunk of one trial takes
     `toggle_walk`'s cumsum and one of 1,000 rows its column adds: at the
-    widest budget with 20 flips a trial, and at the default one too with the
-    6 of "plain-short"."""
+    widest budget with 10 cycles a trial, and at the default one too with the
+    3 of "plain-short" (and 10 cycles in 409 rows)."""
     config = _memory_config(shape, 1000)
     runs = []
     for budget in ENTRY_BUDGETS:
@@ -782,9 +782,9 @@ def _recording_walk(monkeypatch):
     train and the snapshot times are one row that all its trials share."""
     calls = []
 
-    def recording_toggle(j, intervals, at):
-        calls.append(intervals.shape)
-        return toggle_walk(j, intervals, at)
+    def recording_toggle(j, cycles, at):
+        calls.append(cycles.shape)
+        return toggle_walk(j, cycles, at)
 
     def recording_train(j, toggles, train, snapshots, shift=0.0):
         calls.append((len(toggles), toggles.shape[1] + len(snapshots)))
@@ -815,18 +815,22 @@ def _oracle_rows(toggles, pulses, snapshots):
                      for row, train, reads in zip(toggles, pulses, snapshots)])
 
 
-@pytest.mark.parametrize("spread", [0.0, 0.25])
-def test_toggle_walk_meets_the_oracle_on_plain_memory_flips(spread):
-    """Intervals as a plain memory run draws them, read at flips 2 k - 1:
-    within 1e-12 of the oracle on their running sums, trial by trial.  Seed
-    1's trials 1040-1072 hold trial 1072, which skips its eleventh draw at
-    spread 0.25."""
+@pytest.mark.parametrize("spread, cycles", [
+    pytest.param(0.0, range(1, 26), id="0.0"),
+    pytest.param(0.25, range(1, 26), id="0.25"),
+    pytest.param(0.25, (1, 3, 9, 25), id="0.25-skipping-cycles"),
+])
+def test_toggle_walk_meets_the_oracle_on_plain_memory_flips(spread, cycles):
+    """Intervals as a plain memory run draws them, paired into cycles as it
+    pairs them and read after ``cycles``, at flips 2 k - 1: within 1e-12 of
+    the oracle on their running sums, trial by trial.  Seed 1's trials
+    1040-1072 hold trial 1072, which skips its eleventh draw at spread 0.25."""
     rng, state, _ = _stream_generator()
     intervals = _toggle_times(rng, state, _state_words(1, 1040, 1073), 64, 2e-3, spread, 50)
     flips = np.cumsum(intervals, axis=1)
-    at = np.arange(1, 26) * 2 - 1
-    walked = toggle_walk(J_REF, intervals, at)
-    assert np.max(np.abs(walked - _oracle_rows(flips, [()] * len(flips), flips[:, at]))) < 1e-12
+    cycles = np.array(cycles)
+    walked = toggle_walk(J_REF, intervals[:, 0::2] - intervals[:, 1::2], cycles - 1)
+    assert np.max(np.abs(walked - _oracle_rows(flips, [()] * len(flips), flips[:, 2 * cycles - 1]))) < 1e-12
 
 
 def test_toggle_walk_meets_the_oracle_on_transmission_rows():
@@ -835,13 +839,15 @@ def test_toggle_walk_meets_the_oracle_on_transmission_rows():
     oracle, also where the second toggle lies on total_time or past it: the
     config's rounding slack lets it pass by a few ulps, and 1e-13 s here.
     The walk takes that toggle clamped onto total_time and the oracle where
-    it lies, so the clamp must keep it from counting."""
+    it lies, so the clamp must keep it from counting.  The walk takes the
+    toggle cycle, the interval up to the window less the window, and the
+    lone interval on to the read."""
     start, total = 1e-3, 1e-3 + 2 * PI / J_REF
     ends = start + (0.0 + (2 * PI / J_REF) * _next_doubles(_trial_streams(7, 0, 1000)))
     ends = np.concatenate((ends, [start, np.nextafter(total, 0.0), total, total + 1e-13]))
     starts, totals = np.full(len(ends), start), np.full((len(ends), 1), total)
     clamped = np.minimum(ends, total)
-    walked = toggle_walk(J_REF, np.stack((starts, clamped - starts, totals[:, 0] - clamped), axis=1), (2,))
+    walked = toggle_walk(J_REF, np.stack((starts - (clamped - starts), totals[:, 0] - clamped), axis=1), (1,))
     expected = _oracle_rows(np.stack((starts, ends), axis=1), [()] * len(ends), totals)
     assert np.max(np.abs(walked - expected)) < 1e-12
 
@@ -896,9 +902,11 @@ def test_train_walk_meets_toggle_walk_on_a_49400_pulse_train():
     """8 trials of about 500 toggles under a 49,400-pulse train up to 24.7 s,
     where the oracle takes a third of a second a trial.  Toggles and pulses
     both reverse the switching function, so a row's toggles and pulses,
-    merged in a stable sort, are one row of `toggle_walk`, which takes the
-    intervals between them; read there at pulse 8 j + 7, after seven pulses
-    of a cycle, sigma is -1 and E is -1 (three y pulses), so
+    merged in a stable sort, are one row of `toggle_walk`.  The reads, at
+    pulse 8 j + 7, fall inside its toggle cycles, so each interval between
+    events is a cycle of its own, paired with an empty one: the walk is the
+    running sum of the row's signed intervals.  After seven pulses of a
+    train cycle sigma is -1 and E is -1 (three y pulses), so
     ``a = -conj(toggle_walk)``, to 1e-14."""
     toggles, train = _pulsed_memory_rows(0.05, 24.7, 8)
     walked = train_walk(J_REF, toggles, PulseTrain(train), train[7::8])
@@ -907,8 +915,9 @@ def test_train_walk_meets_toggle_walk_on_a_49400_pulse_train():
     merged = np.take_along_axis(merged, order, axis=1)
     # where each read pulse's column sorted to, a row at a time
     reads = np.argsort(order, axis=1)[:, toggles.shape[1] + np.arange(7, len(train), 8)]
-    intervals = np.diff(merged, axis=1, prepend=0.0)
-    expected = -np.conj([toggle_walk(J_REF, row[None], at)[0] for row, at in zip(intervals, reads)])
+    signed = np.diff(merged, axis=1, prepend=0.0)
+    signed[:, 1::2] *= -1.0
+    expected = -np.conj([toggle_walk(J_REF, row[None], at)[0] for row, at in zip(signed, reads)])
     assert np.max(np.abs(walked - expected)) < 1e-14
 
 
@@ -940,8 +949,8 @@ def test_plain_memory_draws_each_chunk_once(monkeypatch):
                            observation_times=tuple(4e-3 * k for k in range(1, 26))))
     assert len(calls) > 1
     assert draws == [51] * len(calls)
-    # a call holds the 50 flips a trial, not the 25 snapshots as well
-    assert calls[0] == (experiments._CHUNK_EVENTS // 50, 50)
+    # a call holds the 25 cycles of 50 flips a trial, in the rows 50 flips give
+    assert calls[0] == (experiments._CHUNK_EVENTS // 50, 25) == (163, 25)
 
 
 def test_pulsed_memory_draws_each_chunk_once(monkeypatch):
@@ -1200,8 +1209,9 @@ def test_run_transmission_matches_the_schedule_oracle(overrides, monkeypatch):
         shift = np.array(offsets) if config.random_train_phase else 0.0
         walked = train_walk(J_REF, times[:, :2], train, np.array([total]), shift)[:, 0]
     else:
-        # the intervals to the window, the window, and on to the read
-        walked = toggle_walk(J_REF, np.diff(times, axis=1, prepend=0.0), (2,))[:, 0]
+        # the cycle, up to the window less the window, then on to the read
+        cycles = np.stack((start - (times[:, 1] - start), total - times[:, 1]), axis=1)
+        walked = toggle_walk(J_REF, cycles, (1,))[:, 0]
     assert np.array_equal(walked * trivial, result.amplitudes)
     given = _on_numpy_streams(monkeypatch)
     assert np.array_equal(run_transmission(config).amplitudes, result.amplitudes)

@@ -287,15 +287,16 @@ _event_time = st.one_of(
 @st.composite
 def toggle_chunks(draw):
     """A chunk of 1-3 trials of 0-8 ascending toggles and a last column
-    at or after the last toggle, with the columns read: the last one and a
-    random subset of the rest."""
+    at or after the last toggle, with the toggle cycles read after: the
+    last one, which ends at that column, and a random subset of the rest,
+    each ending at an even toggle."""
     rows = draw(st.integers(1, 3))
     n_toggles = draw(st.integers(0, 8))
     times = []
     for _ in range(rows):
         toggles = sorted(draw(st.lists(_event_time, min_size=n_toggles, max_size=n_toggles)))
         times.append(toggles + [max(toggles + [draw(_event_time)])])
-    read = draw(st.lists(st.booleans(), min_size=n_toggles, max_size=n_toggles))
+    read = draw(st.lists(st.booleans(), min_size=n_toggles // 2, max_size=n_toggles // 2))
     at = np.flatnonzero(read + [True])
     return np.array(times), at
 
@@ -305,11 +306,18 @@ def toggle_chunks(draw):
 def test_toggle_walk_matches_simulate_amplitudes(chunk):
     """The toggle-only walk against the state-vector oracle, trial by trial,
     with toggles and reads at one instant on the coarse grid; the last
-    column is a read time only.  The walk takes the intervals up to each
-    column, the oracle the times."""
+    column is a read time only.  The walk takes each cycle's increment, the
+    interval up to an odd toggle less the interval on to the next column,
+    and a lone last interval where the intervals are odd in number; the
+    oracle takes the times."""
     times, at = chunk
     sys = CouplingSystem(J_REF)
-    amps = toggle_walk(J_REF, np.diff(times, axis=1, prepend=0.0), at)
+    intervals = np.diff(times, axis=1, prepend=0.0)
+    if intervals.shape[1] % 2:
+        intervals = np.concatenate((intervals, np.zeros((len(times), 1))), axis=1)
+    amps = toggle_walk(J_REF, intervals[:, 0::2] - intervals[:, 1::2], at)
+    # cycle c ends at toggle 2 c + 2, column 2 c + 1, and the last at the read
+    read_times = times[:, np.minimum(2 * at + 1, times.shape[1] - 1)]
     assert amps.shape == (len(times), len(at))
     # C order: a run's group sums depend on how the rows are laid out
     assert amps.flags.c_contiguous
@@ -318,7 +326,7 @@ def test_toggle_walk_matches_simulate_amplitudes(chunk):
         events = [PulseEvent(0.0, 1, "y", PI / 2)]
         events += [PulseEvent(float(t), 2, axis, PI) for t, axis in zip(toggles, cyclic_axes(len(toggles)))]
         schedule = PulseSchedule(sys, tuple(events), float(times[row, -1]))
-        expected = simulate_amplitudes(schedule, times[row, at])
+        expected = simulate_amplitudes(schedule, read_times[row])
         assert np.max(np.abs(amps[row] - expected)) < 1e-12
 
 
